@@ -7,7 +7,6 @@ sums of LR coefficients at doubled partitions, together with the
 induced-character machinery used to cross-check them.
 """
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -173,31 +172,20 @@ def class_size(mu):
     return factorial(sum(mu)) // centralizer_order(mu)
 
 
-_lr_lock = threading.Lock()
-_lr_table = {}
-
-
 def lr_coefficient(lam, mu, target):
     """Littlewood-Richardson coefficient of target in lam * mu.
 
     Counts semistandard skew tableaux of shape target/lam with content
     mu whose reverse reading word is a lattice word. Returns 0 whenever
-    the sizes or containment fail. Results are memoized; the table is
-    shared and guarded for concurrent use.
+    the sizes or containment fail. Results are memoized on the
+    normalized partitions.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    target = check_partition(target)
-    key = (lam, mu, target)
-    with _lr_lock:
-        if key in _lr_table:
-            return _lr_table[key]
-    value = _lr_count(lam, mu, target)
-    with _lr_lock:
-        _lr_table[key] = value
-    return value
+    return _lr_count(
+        check_partition(lam), check_partition(mu), check_partition(target)
+    )
 
 
+@lru_cache(maxsize=None)
 def _lr_count(lam, mu, target):
     if sum(lam) + sum(mu) != sum(target):
         return 0

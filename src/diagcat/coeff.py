@@ -7,6 +7,7 @@ by composition) with arbitrary-precision rational coefficients.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 def _normalize(coeffs):
@@ -209,10 +210,8 @@ def rational_roots(poly):
         roots.add(Fraction(0))
     if len(coeffs) == 1:
         return sorted(roots)
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
     a0, alead = abs(ints[0]), abs(ints[-1])
     for p in _divisors(a0):
         for q in _divisors(alead):
@@ -220,12 +219,6 @@ def rational_roots(poly):
                 if poly.evaluate(cand) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -170,16 +170,15 @@ def compose_brauer(beta, alpha):
                 f"middle colorings differ: {alpha.top_colors} vs {beta.bottom_colors}"
             )
         edges, cycles, _ = _trace(alpha, beta)
-        result = WalledBrauerDiagram._raw_walled(
-            alpha.bottom_colors, beta.top_colors, edges
+        result = WalledBrauerDiagram._trusted(
+            alpha.bottom_colors, beta.top_colors, tuple(sorted(edges))
         )
         return CompositionResult(len(cycles), result)
     if alpha.m != beta.n:
         raise ShapeMismatch(f"middle sizes differ: {alpha.m} vs {beta.n}")
     edges, cycles, _ = _trace(alpha, beta)
-    return CompositionResult(
-        len(cycles), BrauerDiagram._raw(alpha.n, beta.m, edges)
-    )
+    result = BrauerDiagram._trusted(alpha.n, beta.m, tuple(sorted(edges)))
+    return CompositionResult(len(cycles), result)
 
 
 def compose_partition(beta, alpha, degenerate=False):
@@ -196,15 +195,12 @@ def compose_partition(beta, alpha, degenerate=False):
         raise ShapeMismatch(f"middle sizes differ: {alpha.m} vs {beta.n}")
     n, mid, p = alpha.n, alpha.m, beta.m
     a_labels, b_labels = alpha.labels(), beta.labels()
-    middle = list(zip(a_labels[n:], b_labels[:mid]))
-
-    is_zero = degenerate and len(set(middle)) < mid
 
     # union-find over block labels, beta's shifted past alpha's
     na = len(alpha.blocks)
     parent = list(range(na + len(beta.blocks)))
     components = len(parent)
-    for x, y in middle:
+    for x, y in zip(a_labels[n:], b_labels[:mid]):
         y += na
         while parent[x] != x:
             x = parent[x]
@@ -213,6 +209,9 @@ def compose_partition(beta, alpha, degenerate=False):
         if x != y:
             parent[y] = x
             components -= 1
+    # a middle vertex that joins two blocks already connected closes a
+    # cycle of blocks, which the degenerate rule sends to zero
+    is_zero = degenerate and mid > len(parent) - components
 
     blocks = []
     block_at = {}
@@ -227,7 +226,7 @@ def compose_partition(beta, alpha, degenerate=False):
                 block = block_at[root] = []
                 blocks.append(block)
             block.append((row, i))
-    result = PartitionDiagram._canonical(n, p, tuple(map(tuple, blocks)))
+    result = PartitionDiagram._trusted(n, p, tuple(map(tuple, blocks)))
     return CompositionResult(components - len(blocks), result, is_zero=is_zero)
 
 
@@ -293,7 +292,9 @@ def compose_signed(beta, alpha):
         if tail[0] == TOP:
             result_arrows.append((tail, head))
 
-    result = SignedBrauerDiagram._raw_signed(n, p, edges, result_arrows)
+    result = SignedBrauerDiagram._trusted(
+        n, p, tuple(sorted(edges)), tuple(sorted(result_arrows))
+    )
     return CompositionResult(len(cycles), result, sign=sign)
 
 

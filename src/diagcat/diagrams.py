@@ -8,6 +8,7 @@ equality, hashing and enumeration order are purely structural.
 """
 
 from itertools import combinations, permutations
+from operator import attrgetter
 
 from .errors import (
     ColorViolation,
@@ -43,44 +44,39 @@ def _check_vertices(vertices, n, m, exc=NotAMatching):
             raise exc(f"vertex {vertex_text((row, i))} out of range")
 
 
-class BrauerDiagram:
-    """Perfect matching on the disjoint union of a bottom and a top row."""
+class Diagram:
+    """Identity shared by every diagram value.
 
-    variant = "brauer"
-    __slots__ = ("n", "m", "edges", "_hash")
+    A subclass names its identity fields once, in `_fields`; they are
+    stored canonically and never change. Two values are equal when
+    they have the same class and the same fields, the hash is computed
+    once from them, and `sort_key()` and `<` order by them.
+    """
 
-    def __init__(self, n, m, edges):
-        edges = tuple(sorted(_canon_edge(tuple(e)) for e in edges))
-        _check_vertices((v for e in edges for v in e), n, m)
-        seen = set()
-        for e in edges:
-            for v in e:
-                if v in seen:
-                    raise NotAMatching(f"vertex {vertex_text(v)} used twice")
-                seen.add(v)
-        if (n + m) % 2 != 0:
-            detail = ""
-            if len(seen) != n + m:
-                detail = f" ({vertex_text(_first_missing(seen, n, m))} unmatched)"
-            raise ParityViolation(f"no matching on {n}+{m} vertices{detail}")
-        if len(seen) != n + m:
-            missing = _first_missing(seen, n, m)
-            raise NotAMatching(f"vertex {vertex_text(missing)} unmatched")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "edges", edges)
+    __slots__ = ("n", "m", "_hash")
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+
+    def __init__(self, *values):
+        # subclasses validate and canonicalize first; the leading fields
+        # given are set, so the signed class can add its arrows after
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """Build from field values that are already canonical, unchecked."""
+        # the loop of __init__, inlined: compositions build every result here
+        self = object.__new__(cls)
+        for set_field, value in zip(cls._setters, values):
+            set_field(self, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("diagrams are immutable")
-
-    @classmethod
-    def _raw(cls, n, m, edges):
-        # trusted constructor: edges must already be canonical pairs
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
-        return self
 
     @property
     def bottom(self):
@@ -91,26 +87,55 @@ class BrauerDiagram:
         return self.m
 
     def sort_key(self):
-        return (self.n, self.m, self.edges)
+        return self._key(self)
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.n == other.n
-            and self.m == other.m
-            and self.edges == other.edges
-        )
+        return type(other) is type(self) and self._key(self) == other._key(other)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((type(self).__name__, self.n, self.m, self.edges))
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self._key(self))
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        return self._key(self) < other._key(other)
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self.to_text()}>"
+
+
+def _matching_edges(n, m, edges):
+    """The canonical edge tuple of a perfect matching on [n] and [m]."""
+    edges = tuple(sorted(_canon_edge(tuple(e)) for e in edges))
+    _check_vertices((v for e in edges for v in e), n, m)
+    seen = set()
+    for e in edges:
+        for v in e:
+            if v in seen:
+                raise NotAMatching(f"vertex {vertex_text(v)} used twice")
+            seen.add(v)
+    if (n + m) % 2 != 0:
+        detail = ""
+        if len(seen) != n + m:
+            detail = f" ({vertex_text(_first_missing(seen, n, m))} unmatched)"
+        raise ParityViolation(f"no matching on {n}+{m} vertices{detail}")
+    if len(seen) != n + m:
+        missing = _first_missing(seen, n, m)
+        raise NotAMatching(f"vertex {vertex_text(missing)} unmatched")
+    return edges
+
+
+class BrauerDiagram(Diagram):
+    """Perfect matching on the disjoint union of a bottom and a top row."""
+
+    variant = "brauer"
+    __slots__ = ("edges",)
+    _fields = ("n", "m", "edges")
+
+    def __init__(self, n, m, edges):
+        super().__init__(n, m, _matching_edges(n, m, edges))
 
     def edge_kinds(self):
         """(vertical, bottom horizontal, top horizontal) edge tuples."""
@@ -135,9 +160,6 @@ class BrauerDiagram:
             "top": self.m,
             "edges": [[vertex_text(a), vertex_text(b)] for a, b in self.edges],
         }
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.to_text()}>"
 
 
 def _first_missing(seen, n, m):
@@ -167,6 +189,7 @@ class SignedBrauerDiagram(BrauerDiagram):
 
     variant = "signed"
     __slots__ = ("arrows",)
+    _fields = ("n", "m", "edges", "arrows")
 
     def __init__(self, n, m, edges, arrows=None):
         super().__init__(n, m, edges)
@@ -181,29 +204,6 @@ class SignedBrauerDiagram(BrauerDiagram):
             raise NotAMatching("arrows must orient exactly the horizontal edges")
         object.__setattr__(self, "arrows", arrows)
 
-    @classmethod
-    def _raw_signed(cls, n, m, edges, arrows):
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
-        object.__setattr__(self, "arrows", tuple(sorted(arrows)))
-        return self
-
-    def sort_key(self):
-        return (self.n, self.m, self.edges, self.arrows)
-
-    def __eq__(self, other):
-        return super().__eq__(other) and self.arrows == other.arrows
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("signed", self.n, self.m, self.edges, self.arrows))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     def canonicalize(self):
         """(sign, diagram with reference orientations); sign = (-1)^flips."""
         flips = 0
@@ -216,8 +216,8 @@ class SignedBrauerDiagram(BrauerDiagram):
         if flips == 0:
             return 1, self
         sign = -1 if flips % 2 else 1
-        return sign, SignedBrauerDiagram._raw_signed(
-            self.n, self.m, self.edges, fixed
+        return sign, SignedBrauerDiagram._trusted(
+            self.n, self.m, self.edges, tuple(sorted(fixed))
         )
 
     def is_canonical(self):
@@ -268,13 +268,17 @@ class WalledBrauerDiagram(BrauerDiagram):
 
     variant = "walled"
     __slots__ = ("bottom_colors", "top_colors")
+    _fields = ("bottom_colors", "top_colors", "edges")
+
+    # the row sizes follow from the color counts
+    n = property(lambda self: sum(self.bottom_colors))
+    m = property(lambda self: sum(self.top_colors))
 
     def __init__(self, bottom, top, edges):
         n1, n2 = bottom
         m1, m2 = top
-        super().__init__(n1 + n2, m1 + m2, edges)
-        object.__setattr__(self, "bottom_colors", (n1, n2))
-        object.__setattr__(self, "top_colors", (m1, m2))
+        edges = _matching_edges(n1 + n2, m1 + m2, edges)
+        Diagram.__init__(self, (n1, n2), (m1, m2), edges)
         for a, b in self.edges:
             same_row = a[0] == b[0]
             same_color = self.color(a) == self.color(b)
@@ -286,16 +290,6 @@ class WalledBrauerDiagram(BrauerDiagram):
                 raise ColorViolation(
                     f"vertical edge {vertex_text(a)} {vertex_text(b)} joins different colors"
                 )
-
-    @classmethod
-    def _raw_walled(cls, bottom, top, edges):
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", bottom[0] + bottom[1])
-        object.__setattr__(self, "m", top[0] + top[1])
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
-        object.__setattr__(self, "bottom_colors", tuple(bottom))
-        object.__setattr__(self, "top_colors", tuple(top))
-        return self
 
     @property
     def bottom(self):
@@ -309,25 +303,6 @@ class WalledBrauerDiagram(BrauerDiagram):
         row, i = v
         split = self.bottom_colors[0] if row == BOTTOM else self.top_colors[0]
         return 1 if i <= split else 2
-
-    def sort_key(self):
-        return (self.bottom_colors, self.top_colors, self.edges)
-
-    def __eq__(self, other):
-        return (
-            type(other) is WalledBrauerDiagram
-            and self.bottom_colors == other.bottom_colors
-            and self.top_colors == other.top_colors
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("walled", self.bottom_colors, self.top_colors, self.edges))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def to_text(self):
         n1, n2 = self.bottom_colors
@@ -346,11 +321,12 @@ class WalledBrauerDiagram(BrauerDiagram):
         }
 
 
-class PartitionDiagram:
+class PartitionDiagram(Diagram):
     """Set partition of the bottom and top rows into nonempty blocks."""
 
     variant = "partition"
-    __slots__ = ("n", "m", "blocks", "_hash", "_labels")
+    __slots__ = ("blocks", "_labels")
+    _fields = ("n", "m", "blocks")
 
     def __init__(self, n, m, blocks):
         blocks = tuple(
@@ -369,36 +345,7 @@ class PartitionDiagram:
                 seen.add(v)
         if len(seen) != n + m:
             raise NotAPartition("blocks do not cover all vertices")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("diagrams are immutable")
-
-    @classmethod
-    def _raw(cls, n, m, blocks):
-        # trusted constructor: blocks must be disjoint and covering
-        return cls._canonical(
-            n, m, tuple(sorted(tuple(sorted(b)) for b in blocks))
-        )
-
-    @classmethod
-    def _canonical(cls, n, m, blocks):
-        # trusted constructor: blocks is already the canonical tuple
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "blocks", blocks)
-        return self
-
-    @property
-    def bottom(self):
-        return self.n
-
-    @property
-    def top(self):
-        return self.m
+        super().__init__(n, m, blocks)
 
     def labels(self):
         """Block index of each vertex, in the order b1..bn, t1..tm.
@@ -417,28 +364,6 @@ class PartitionDiagram:
             object.__setattr__(self, "_labels", labels)
             return labels
 
-    def sort_key(self):
-        return (self.n, self.m, self.blocks)
-
-    def __eq__(self, other):
-        return (
-            type(other) is PartitionDiagram
-            and self.n == other.n
-            and self.m == other.m
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("partition", self.n, self.m, self.blocks))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
     def to_text(self):
         body = "".join(
             "{" + " ".join(vertex_text(v) for v in b) + "}" for b in self.blocks
@@ -453,15 +378,13 @@ class PartitionDiagram:
             "blocks": [[vertex_text(v) for v in b] for b in self.blocks],
         }
 
-    def __repr__(self):
-        return f"<PartitionDiagram {self.to_text()}>"
 
-
-class PartialInjection:
+class PartialInjection(Diagram):
     """Injection from a subset of the bottom row to a subset of the top."""
 
     variant = "fisharp"
-    __slots__ = ("n", "m", "pairs")
+    __slots__ = ("pairs",)
+    _fields = ("n", "m", "pairs")
 
     def __init__(self, n, m, pairs, allow_non_injective=False):
         pairs = tuple(sorted((int(a), int(b)) for a, b in pairs))
@@ -474,37 +397,7 @@ class PartialInjection:
             raise NotInjective("repeated source vertex")
         if not allow_non_injective and len(set(img)) != len(img):
             raise NotInjective("repeated target vertex")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "pairs", pairs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("diagrams are immutable")
-
-    @property
-    def bottom(self):
-        return self.n
-
-    @property
-    def top(self):
-        return self.m
-
-    def sort_key(self):
-        return (self.n, self.m, self.pairs)
-
-    def __eq__(self, other):
-        return (
-            type(other) is PartialInjection
-            and self.n == other.n
-            and self.m == other.m
-            and self.pairs == other.pairs
-        )
-
-    def __hash__(self):
-        return hash(("fisharp", self.n, self.m, self.pairs))
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        super().__init__(n, m, pairs)
 
     def as_dict(self):
         return dict(self.pairs)
@@ -520,9 +413,6 @@ class PartialInjection:
             "top": self.m,
             "pairs": [[f"b{a}", f"t{b}"] for a, b in self.pairs],
         }
-
-    def __repr__(self):
-        return f"<PartialInjection {self.to_text()}>"
 
 
 def make_diagram(variant, bottom, top, data):
@@ -591,20 +481,14 @@ def transpose(d):
         raise UnsupportedVariant("transpose of signed diagrams is not defined")
     if isinstance(d, PartialInjection):
         return PartialInjection(d.m, d.n, [(b, a) for a, b in d.pairs])
-    flip = lambda v: (1 - v[0], v[1])
-    if isinstance(d, WalledBrauerDiagram):
-        return WalledBrauerDiagram._raw_walled(
-            d.top_colors,
-            d.bottom_colors,
-            [_canon_edge((flip(a), flip(b))) for a, b in d.edges],
-        )
     if isinstance(d, PartitionDiagram):
-        return PartitionDiagram._raw(
-            d.m, d.n, [[(1 - row, i) for row, i in b] for b in d.blocks]
-        )
-    return BrauerDiagram._raw(
-        d.m, d.n, [_canon_edge((flip(a), flip(b))) for a, b in d.edges]
-    )
+        blocks = [tuple(sorted([(1 - row, i) for row, i in b])) for b in d.blocks]
+        return PartitionDiagram._trusted(d.m, d.n, tuple(sorted(blocks)))
+    flip = lambda v: (1 - v[0], v[1])
+    edges = tuple(sorted(_canon_edge((flip(a), flip(b))) for a, b in d.edges))
+    if isinstance(d, WalledBrauerDiagram):
+        return WalledBrauerDiagram._trusted(d.top_colors, d.bottom_colors, edges)
+    return BrauerDiagram._trusted(d.m, d.n, edges)
 
 
 def disjoint_union(d1, d2):
@@ -629,16 +513,16 @@ def disjoint_union(d1, d2):
             for b in d2.blocks
         ]
         blocks.sort()
-        return PartitionDiagram._canonical(n + d2.n, m + d2.m, tuple(blocks))
+        return PartitionDiagram._trusted(n + d2.n, m + d2.m, tuple(blocks))
     edges = list(d1.edges) + [(shift(a), shift(b)) for a, b in d2.edges]
     if isinstance(d1, SignedBrauerDiagram):
         arrows = list(d1.arrows) + [
             (shift(a), shift(b)) for a, b in d2.arrows
         ]
-        return SignedBrauerDiagram._raw_signed(
-            d1.n + d2.n, d1.m + d2.m, edges, arrows
+        return SignedBrauerDiagram._trusted(
+            d1.n + d2.n, d1.m + d2.m, tuple(sorted(edges)), tuple(sorted(arrows))
         )
-    return BrauerDiagram._raw(d1.n + d2.n, d1.m + d2.m, edges)
+    return BrauerDiagram._trusted(d1.n + d2.n, d1.m + d2.m, tuple(sorted(edges)))
 
 
 def _walled_union(d1, d2):
@@ -663,7 +547,7 @@ def _walled_union(d1, d2):
     edges = [_canon_edge((f1(a), f1(b))) for a, b in d1.edges] + [
         _canon_edge((f2(a), f2(b))) for a, b in d2.edges
     ]
-    return WalledBrauerDiagram._raw_walled(nb, nt, edges)
+    return WalledBrauerDiagram._trusted(nb, nt, tuple(sorted(edges)))
 
 
 def _matchings(points):
@@ -690,19 +574,21 @@ def _set_partitions(points):
 
 def enumerate_diagrams(variant, bottom, top):
     """All canonical diagrams of the hom space, in sorted order."""
-    if variant == "walled":
-        n1, n2 = bottom
-        m1, m2 = top
+    walled = variant == "walled"
+    n, m = (sum(bottom), sum(top)) if walled else (bottom, top)
+    points = [(BOTTOM, i) for i in range(1, n + 1)] + [
+        (TOP, i) for i in range(1, m + 1)
+    ]
+    # _matchings yields each matching as canonical edges in sorted order
+    out = []
+    if walled:
+        bottom, top = tuple(bottom), tuple(top)
 
         def color(v):
             row, i = v
-            return 1 if i <= (n1 if row == BOTTOM else m1) else 2
+            return 1 if i <= (bottom[0] if row == BOTTOM else top[0]) else 2
 
-        points = [(BOTTOM, i) for i in range(1, n1 + n2 + 1)] + [
-            (TOP, i) for i in range(1, m1 + m2 + 1)
-        ]
-        out = []
-        if len(points) % 2 == 0:
+        if (n + m) % 2 == 0:
             for edges in _matchings(points):
                 ok = True
                 for a, b in edges:
@@ -711,43 +597,37 @@ def enumerate_diagrams(variant, bottom, top):
                         ok = False
                         break
                 if ok:
-                    out.append(WalledBrauerDiagram._raw_walled(bottom, top, edges))
-        return sorted(out, key=lambda d: d.sort_key())
-
-    n, m = bottom, top
-    points = [(BOTTOM, i) for i in range(1, n + 1)] + [
-        (TOP, i) for i in range(1, m + 1)
-    ]
-    if variant in ("brauer", "signed", "temperley_lieb"):
-        if (n + m) % 2 != 0:
-            return []
-        out = []
-        for edges in _matchings(points):
-            d = BrauerDiagram._raw(n, m, edges)
-            if variant == "temperley_lieb" and not is_planar(d):
-                continue
-            if variant == "signed":
-                arrows = [
-                    canonical_arrow(e, n, m) for e in d.edges if e[0][0] == e[1][0]
-                ]
-                d = SignedBrauerDiagram._raw_signed(n, m, d.edges, arrows)
-            out.append(d)
-        return sorted(out, key=lambda d: d.sort_key())
-    if variant in PARTITION_FAMILY:
+                    out.append(
+                        WalledBrauerDiagram._trusted(bottom, top, tuple(edges))
+                    )
+    elif variant in ("brauer", "signed", "temperley_lieb"):
+        if (n + m) % 2 == 0:
+            for edges in _matchings(points):
+                d = BrauerDiagram._trusted(n, m, tuple(edges))
+                if variant == "temperley_lieb" and not is_planar(d):
+                    continue
+                if variant == "signed":
+                    arrows = [
+                        canonical_arrow(e, n, m) for e in d.edges if e[0][0] == e[1][0]
+                    ]
+                    d = SignedBrauerDiagram._trusted(
+                        n, m, d.edges, tuple(sorted(arrows))
+                    )
+                out.append(d)
+    elif variant in PARTITION_FAMILY:
         out = [
-            PartitionDiagram._raw(n, m, blocks)
+            PartitionDiagram._trusted(n, m, tuple(sorted(map(tuple, blocks))))
             for blocks in _set_partitions(points)
         ]
-        return sorted(out, key=lambda d: d.sort_key())
-    if variant == "fisharp":
-        out = []
+    elif variant == "fisharp":
         bot = list(range(1, n + 1))
         for k in range(min(n, m) + 1):
             for dom in combinations(bot, k):
                 for img in _injections(k, m):
                     out.append(PartialInjection(n, m, list(zip(dom, img))))
-        return sorted(out, key=lambda d: d.sort_key())
-    raise UnsupportedVariant(f"unknown variant {variant!r}")
+    else:
+        raise UnsupportedVariant(f"unknown variant {variant!r}")
+    return sorted(out, key=Diagram.sort_key)
 
 
 def _injections(k, m):

@@ -10,8 +10,6 @@ value far below overflow. The public matrix type always carries exact
 rationals.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -124,14 +122,8 @@ class RationalMatrix:
         return f"<RationalMatrix {self.rows}x{self.cols}>"
 
 
-def _sizes(d):
-    if isinstance(d, WalledBrauerDiagram):
-        return d.n, d.m
-    return d.bottom, d.top
-
-
 def _check_budget(ctx, d):
-    n, m = _sizes(d)
+    n, m = d.n, d.m
     if max(ctx.dim**m, ctx.dim**n) > ctx.row_budget:
         raise DimensionBudgetExceeded(
             f"{ctx.dim}^{max(n, m)} exceeds the row budget {ctx.row_budget}"
@@ -146,9 +138,7 @@ def _check_variant(ctx, d):
         "partition": PartitionDiagram,
         "signed": SignedBrauerDiagram,
     }[ctx.variant]
-    if type(d) is not expected and not (
-        ctx.variant in ("brauer", "temperley_lieb") and type(d) is BrauerDiagram
-    ):
+    if type(d) is not expected:
         raise VariantMismatch(f"{type(d).__name__} under a {ctx.variant} context")
 
 
@@ -172,10 +162,10 @@ def _index(tup, p):
 def _int_matrix(ctx, d):
     """int64 matrix for the integer-parameter variants."""
     p = ctx.dim
-    n, m = _sizes(d)
+    n, m = d.n, d.m
     arr = np.zeros((p**m, p**n), dtype=np.int64)
     if p == 0:
-        if n == 0 and m == 0 and _diagram_is_empty(d):
+        if n == 0 and m == 0:
             arr = np.ones((1, 1), dtype=np.int64)
         return arr
     if isinstance(d, PartitionDiagram):
@@ -187,14 +177,8 @@ def _int_matrix(ctx, d):
     return arr
 
 
-def _diagram_is_empty(d):
-    if isinstance(d, PartitionDiagram):
-        return not d.blocks
-    return not d.edges
-
-
 def _fill_matching(arr, d, p):
-    n, m = _sizes(d)
+    n, m = d.n, d.m
     vert, bot, top = d.edge_kinds()
     for source in product(range(p), repeat=n):
         if any(source[a[1] - 1] != source[b[1] - 1] for a, b in bot):
@@ -213,7 +197,7 @@ def _fill_matching(arr, d, p):
 
 
 def _fill_partition(arr, d, p):
-    n, m = _sizes(d)
+    n, m = d.n, d.m
     free_blocks = []
     for source in product(range(p), repeat=n):
         base = [None] * m
@@ -253,7 +237,7 @@ def _form_entries(p):
 
 
 def _fill_signed(arr, d, p):
-    n, m = _sizes(d)
+    n, m = d.n, d.m
     form = _form_entries(p)
     vert, bot, top = d.edge_kinds()
     oriented = {frozenset(a): a for a in d.arrows}
@@ -362,49 +346,30 @@ def verify_taut_functoriality(ctx, max_size):
 
     checked = 0
     failures = []
-
-    def check_block(block):
-        nonlocal checked
-        local_fail = []
-        local_count = 0
-        for x, y, z in block:
-            for alpha in homs[(x, y)]:
-                ma = matrices[alpha]
-                for beta in homs[(y, z)]:
-                    mb = matrices[beta]
-                    res = compose(beta, alpha)
-                    mr = matrices[res.result]
-                    local_count += 1
-                    if exact:
-                        lhs = mb @ ma
-                        rhs = mr.scaled(
-                            res.sign * ctx.parameter**res.closed_count
-                        )
-                        good = lhs == rhs
-                    else:
-                        lhs = mb @ ma
-                        rhs = (
-                            res.sign * ctx.dim**res.closed_count
-                        ) * mr
-                        good = bool((lhs == rhs).all())
-                    if not good:
-                        local_fail.append(
-                            (alpha.to_text(), beta.to_text())
-                        )
-        return local_count, local_fail
-
-    nthreads = int(os.environ.get("DIAGCAT_THREADS", "1"))
-    if nthreads > 1 and len(pairs) > 1:
-        chunks = [pairs[i::nthreads] for i in range(nthreads)]
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            for count, fails in ex.map(check_block, chunks):
-                checked += count
-                failures.extend(fails)
-        failures.sort()
-    else:
-        count, fails = check_block(pairs)
-        checked += count
-        failures.extend(fails)
+    for x, y, z in pairs:
+        for alpha in homs[(x, y)]:
+            ma = matrices[alpha]
+            for beta in homs[(y, z)]:
+                mb = matrices[beta]
+                res = compose(beta, alpha)
+                mr = matrices[res.result]
+                checked += 1
+                if exact:
+                    lhs = mb @ ma
+                    rhs = mr.scaled(
+                        res.sign * ctx.parameter**res.closed_count
+                    )
+                    good = lhs == rhs
+                else:
+                    lhs = mb @ ma
+                    rhs = (
+                        res.sign * ctx.dim**res.closed_count
+                    ) * mr
+                    good = bool((lhs == rhs).all())
+                if not good:
+                    failures.append(
+                        (alpha.to_text(), beta.to_text())
+                    )
 
     return {
         "category": ctx.variant,

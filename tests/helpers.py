@@ -168,10 +168,12 @@ def partition_compose_oracle(beta, alpha):
 
     Vertices are named ('b', i) on alpha's bottom row, ('m', i) on the
     shared middle row and ('t', i) on beta's top row. Returns
-    (blocks, closed_count, shares_two): the result's blocks in canonical
+    (blocks, closed_count, cyclic): the result's blocks in canonical
     order, the number of components inside the middle row, and whether
-    some block of alpha and some block of beta meet in two or more
-    middle vertices (the degenerate rule's zero product).
+    the blocks of alpha and beta, joined at each shared middle vertex,
+    form a cycle (the degenerate rule's zero product). A component has
+    a cycle exactly when it holds at least as many middle vertices as
+    blocks.
     """
 
     def named(diagram, lower, upper):
@@ -189,6 +191,7 @@ def partition_compose_oracle(beta, alpha):
     seen = set()
     blocks = []
     closed = 0
+    cyclic = False
     for start in adjacent:
         if start in seen:
             continue
@@ -207,5 +210,8 @@ def partition_compose_oracle(beta, alpha):
             blocks.append(tuple(outer))
         else:
             closed += 1
-    shares_two = any(len(a & b) >= 2 for a in a_blocks for b in b_blocks)
-    return tuple(sorted(blocks)), closed, shares_two
+        members = set(component)
+        middle = sum(1 for row, _ in component if row == "m")
+        touching = sum(1 for blk in a_blocks + b_blocks if blk & members)
+        cyclic = cyclic or middle >= touching
+    return tuple(sorted(blocks)), closed, cyclic

@@ -172,14 +172,31 @@ class TestPartitionComposition:
             betas = enumerate_diagrams("partition", m, p)
             for alpha in enumerate_diagrams("partition", n, m):
                 for beta in betas:
-                    blocks, closed, shares_two = partition_compose_oracle(
+                    blocks, closed, cyclic = partition_compose_oracle(
                         beta, alpha
                     )
                     for degenerate in (False, True):
                         res = compose_partition(beta, alpha, degenerate=degenerate)
                         assert res.result.blocks == blocks
                         assert res.closed_count == closed
-                        assert res.is_zero == (degenerate and shares_two)
+                        assert res.is_zero == (degenerate and cyclic)
+
+    def test_degenerate_zero_on_long_block_cycle(self):
+        # the middle row of gamma o (beta o alpha) joins four blocks in a
+        # cycle without any two of them sharing two middle vertices
+        alpha = make_diagram("partition", 1, 2, [[b(1), t(1), t(2)]])
+        beta = make_diagram(
+            "partition", 2, 4, [[b(1), t(3)], [b(2), t(2)], [t(1), t(4)]]
+        )
+        gamma = make_diagram("partition", 4, 0, [[b(1), b(2)], [b(3), b(4)]])
+        ba = compose_partition(beta, alpha, degenerate=True)
+        assert not ba.is_zero
+        assert ba.result.to_text() == "1->4:{b1 t2 t3}{t1 t4}"
+        assert partition_compose_oracle(gamma, ba.result)[2]
+        assert compose_partition(gamma, ba.result, degenerate=True).is_zero
+        gb = compose_partition(gamma, beta, degenerate=True)
+        assert not gb.is_zero
+        assert compose_partition(gb.result, alpha, degenerate=True).is_zero
 
 
 class TestWalledComposition:

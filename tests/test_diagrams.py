@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from diagcat import (
+    BrauerDiagram,
     disjoint_union,
     enumerate_diagrams,
     identity_diagram,
@@ -194,6 +197,37 @@ class TestCounts:
         ds = enumerate_diagrams("brauer", 2, 2)
         assert ds == sorted(ds, key=lambda d: d.sort_key())
         assert len(set(ds)) == len(ds)
+
+    @pytest.mark.parametrize(
+        "variant,bottom,top",
+        [
+            ("brauer", 2, 2),
+            ("signed", 2, 2),
+            ("walled", (2, 1), (2, 1)),
+            ("partition", 2, 2),
+            ("fisharp", 2, 3),
+        ],
+    )
+    def test_identity_layer(self, variant, bottom, top):
+        ds = enumerate_diagrams(variant, bottom, top)
+        shuffled = random.Random(7).sample(ds, len(ds))
+        assert sorted(shuffled) == sorted(shuffled, key=lambda d: d.sort_key())
+        assert sorted(shuffled) == ds
+        for d in ds:
+            cls = type(d)
+            # each class's fields are its validating constructor's arguments
+            *objects, data = d.sort_key()
+            checked = cls(*objects, list(reversed(data)))
+            trusted = cls._trusted(*d.sort_key())
+            assert checked == d and trusted == d
+            assert hash(checked) == hash(d) == hash(trusted)
+            if hasattr(d, "edges"):
+                plain = BrauerDiagram(d.n, d.m, d.edges)
+                assert (d == plain) == (plain == d) == (cls is BrauerDiagram)
+            with pytest.raises(AttributeError):
+                d.n = 0
+            with pytest.raises(AttributeError):
+                d.extra = 0
 
     def test_partition_labels(self):
         d = make_diagram("partition", 2, 1, [[b(1), t(1)], [b(2)]])

@@ -320,6 +320,27 @@ class TestAssociativityExhaustive:
                                     )
                                     assert lhs == rhs
 
+    def test_degenerate_morphism_associativity_size_4(self):
+        # zero products from block cycles of length four and more first
+        # appear with four middle vertices; seeded random triples reach
+        # them beyond the exhaustive range above
+        sizes = range(5)
+        homs = {
+            (x, y): enumerate_diagrams("partition", x, y)
+            for x in sizes
+            for y in sizes
+        }
+        rng = random.Random(0)
+        for _ in range(6000):
+            n, m, k, l = (rng.choice(sizes) for _ in range(4))
+            fa, fb, fg = (
+                Morphism.from_diagram(rng.choice(homs[hom]), variant="degenerate")
+                for hom in ((n, m), (m, k), (k, l))
+            )
+            lhs = morphism_compose(fg, morphism_compose(fb, fa))
+            rhs = morphism_compose(morphism_compose(fg, fb), fa)
+            assert lhs == rhs
+
 
 class TestMonoidalInterchange:
     def test_interchange_small(self):

@@ -188,14 +188,6 @@ class TestFunctoriality:
             )
             assert rep["pass"], rep["failures"][:3]
 
-    def test_threaded_matches_sequential(self, monkeypatch):
-        ctx = TautContext("brauer", dim=2)
-        seq = verify_taut_functoriality(ctx, 2)
-        monkeypatch.setenv("DIAGCAT_THREADS", "4")
-        par = verify_taut_functoriality(ctx, 2)
-        assert seq["pass"] == par["pass"]
-        assert seq["pairs_checked"] == par["pairs_checked"]
-
 
 class TestP2P0:
     def test_dichotomy(self):
