@@ -1,5 +1,6 @@
-"""Composition engines: stack two diagrams, trace the middle row,
-count closed loops, and track signs for the oriented variant.
+"""Composition: stack two diagrams, merge their parts through the
+middle row with a union-find, count closed loops, and take the sign of
+the oriented variant from the comparison functor.
 """
 
 from .diagrams import (
@@ -10,9 +11,8 @@ from .diagrams import (
     PartitionDiagram,
     SignedBrauerDiagram,
     WalledBrauerDiagram,
-    canonical_arrow,
 )
-from .errors import ColorMismatch, ShapeMismatch
+from .errors import ColorMismatch, ShapeMismatch, VariantMismatch
 
 
 class CompositionResult:
@@ -41,165 +41,41 @@ class CompositionResult:
         )
 
 
-def _middle_links(alpha, beta):
-    """Adjacency of the stacked graph seen from the middle row.
-
-    Returns (a_link, b_link, direct): a_link[t] describes the alpha
-    edge at middle vertex t as ('S', i), ('mid', t2) or None; b_link
-    likewise with ('U', i). direct collects alpha's bottom horizontals
-    and beta's top horizontals, which pass straight to the result.
-    """
-    mid = alpha.m
-    a_link = [None] * (mid + 1)
-    b_link = [None] * (mid + 1)
-    direct = []
-    for a, b in alpha.edges:
-        if a[0] == BOTTOM and b[0] == BOTTOM:
-            direct.append(((BOTTOM, a[1]), (BOTTOM, b[1])))
-        elif a[0] == TOP and b[0] == TOP:
-            a_link[a[1]] = ("mid", b[1])
-            a_link[b[1]] = ("mid", a[1])
-        else:
-            bot, top = (a, b) if a[0] == BOTTOM else (b, a)
-            a_link[top[1]] = ("S", bot[1])
-    for a, b in beta.edges:
-        if a[0] == BOTTOM and b[0] == BOTTOM:
-            b_link[a[1]] = ("mid", b[1])
-            b_link[b[1]] = ("mid", a[1])
-        elif a[0] == TOP and b[0] == TOP:
-            direct.append(((TOP, a[1]), (TOP, b[1])))
-        else:
-            bot, top = (a, b) if a[0] == BOTTOM else (b, a)
-            b_link[bot[1]] = ("U", top[1])
-    return a_link, b_link, direct
-
-
-def _trace(alpha, beta):
-    """Walk all paths and cycles of the stacked graph.
-
-    Returns (edges, cycles, paths) where edges are the result edges,
-    cycles is the list of middle cycles (as lists of traversal steps)
-    and paths maps each traced result edge to its traversal steps.
-    A step is (side, frm, to) recording a traversed middle horizontal
-    edge of alpha ('a') or beta ('b').
-    """
-    mid = alpha.m
-    a_link, b_link, direct = _middle_links(alpha, beta)
-    visited = [False] * (mid + 1)
-    edges = list(direct)
-    paths = {}
-    cycles = []
-
-    def walk(start_mid, from_side, steps):
-        # returns the endpoint ('S'|'U', index) reached from start_mid
-        t = start_mid
-        side = from_side
-        while True:
-            visited[t] = True
-            link = b_link[t] if side == "a" else a_link[t]
-            tag = link[0]
-            if tag == "mid":
-                t2 = link[1]
-                steps.append(("b" if side == "a" else "a", t, t2))
-                t = t2
-                side = "b" if side == "a" else "a"
-            else:
-                return (tag, link[1])
-
-    for i in range(1, mid + 1):
-        if visited[i] or a_link[i][0] != "S":
-            continue
-        steps = []
-        start = ("S", a_link[i][1])
-        visited[i] = True
-        end = walk(i, "a", steps)
-        key = _edge_from_endpoints(start, end)
-        edges.append(key)
-        paths[key] = (start, steps)
-    for i in range(1, mid + 1):
-        if visited[i] or b_link[i][0] != "U":
-            continue
-        steps = []
-        start = ("U", b_link[i][1])
-        visited[i] = True
-        end = walk(i, "b", steps)
-        key = _edge_from_endpoints(start, end)
-        edges.append(key)
-        paths[key] = (start, steps)
-    for i in range(1, mid + 1):
-        if visited[i]:
-            continue
-        # middle cycle: walk until we come back
-        steps = []
-        t, side = i, "b"  # pretend we arrived via beta, leave via alpha
-        while True:
-            visited[t] = True
-            link = a_link[t] if side == "b" else b_link[t]
-            t2 = link[1]
-            steps.append(("a" if side == "b" else "b", t, t2))
-            side = "a" if side == "b" else "b"
-            t = t2
-            if t == i and side == "b":
-                break
-        cycles.append(steps)
-    return edges, cycles, paths
-
-
-def _edge_from_endpoints(start, end):
-    va = (BOTTOM if start[0] == "S" else TOP, start[1])
-    vb = (BOTTOM if end[0] == "S" else TOP, end[1])
-    return (va, vb) if va <= vb else (vb, va)
-
-
-def compose_brauer(beta, alpha):
-    """beta after alpha in the matching family (plain, walled, planar)."""
-    if isinstance(beta, WalledBrauerDiagram) or isinstance(
-        alpha, WalledBrauerDiagram
-    ):
-        if not (
-            isinstance(beta, WalledBrauerDiagram)
-            and isinstance(alpha, WalledBrauerDiagram)
-        ):
-            raise ShapeMismatch("cannot mix walled and plain diagrams")
-        if alpha.m != beta.n:
-            raise ShapeMismatch(
-                f"middle sizes differ: {alpha.m} vs {beta.n}"
-            )
-        if alpha.top_colors != beta.bottom_colors:
-            raise ColorMismatch(
-                f"middle colorings differ: {alpha.top_colors} vs {beta.bottom_colors}"
-            )
-        edges, cycles, _ = _trace(alpha, beta)
-        result = WalledBrauerDiagram._trusted(
-            alpha.bottom_colors, beta.top_colors, tuple(sorted(edges))
+def _check(beta, alpha):
+    """Refuse operands of two classes or with different middle rows."""
+    if type(beta) is not type(alpha):
+        raise VariantMismatch(
+            f"cannot compose {type(beta).__name__} after {type(alpha).__name__}"
         )
-        return CompositionResult(len(cycles), result)
-    if alpha.m != beta.n:
-        raise ShapeMismatch(f"middle sizes differ: {alpha.m} vs {beta.n}")
-    edges, cycles, _ = _trace(alpha, beta)
-    result = BrauerDiagram._trusted(alpha.n, beta.m, tuple(sorted(edges)))
-    return CompositionResult(len(cycles), result)
+    if alpha.top != beta.bottom:
+        if alpha.m != beta.n:
+            raise ShapeMismatch(f"middle sizes differ: {alpha.m} vs {beta.n}")
+        raise ColorMismatch(
+            f"middle colorings differ: {alpha.top} vs {beta.bottom}"
+        )
 
 
-def compose_partition(beta, alpha, degenerate=False):
-    """beta after alpha by merging touching blocks through the middle.
+def _glue(beta, alpha, parts):
+    """Stack alpha under beta and merge their parts through the middle.
 
-    Every middle vertex lies in one block of alpha and one block of
-    beta; a union-find over the blocks (alpha's labels first, then
-    beta's) joins that pair at each middle vertex. Outer vertices are
-    then collected by scanning b1..bn and t1..tp, which yields the
-    blocks already in canonical order. Merged components without an
-    outer vertex are the closed ones.
+    `parts` names the field holding the parts: a matching's edges or a
+    partition's blocks; `labels()` names the part at each vertex. Every
+    middle vertex lies in one part of alpha and one part of beta; a
+    union-find over the parts (alpha's labels first, then beta's) joins
+    that pair at each middle vertex. Outer vertices are then collected
+    by scanning b1..bn and t1..tp, which yields the blocks already in
+    canonical order; for matchings they are the sorted edges. Returns
+    (closed, blocks, cyclic): the merged components without an outer
+    vertex, the outer blocks, and whether some middle vertex joined
+    two parts that were already connected.
     """
-    if alpha.m != beta.n:
-        raise ShapeMismatch(f"middle sizes differ: {alpha.m} vs {beta.n}")
-    n, mid, p = alpha.n, alpha.m, beta.m
+    _check(beta, alpha)
+    na, nb = len(getattr(alpha, parts)), len(getattr(beta, parts))
+    n, mid = alpha.n, alpha.m
     a_labels, b_labels = alpha.labels(), beta.labels()
 
-    # union-find over block labels, beta's shifted past alpha's
-    na = len(alpha.blocks)
-    parent = list(range(na + len(beta.blocks)))
-    components = len(parent)
+    parent = list(range(na + nb))
+    components = na + nb
     for x, y in zip(a_labels[n:], b_labels[:mid]):
         y += na
         while parent[x] != x:
@@ -209,9 +85,8 @@ def compose_partition(beta, alpha, degenerate=False):
         if x != y:
             parent[y] = x
             components -= 1
-    # a middle vertex that joins two blocks already connected closes a
-    # cycle of blocks, which the degenerate rule sends to zero
-    is_zero = degenerate and mid > len(parent) - components
+    # each join that finds its two parts already connected closes a cycle
+    cyclic = mid > na + nb - components
 
     blocks = []
     block_at = {}
@@ -226,76 +101,44 @@ def compose_partition(beta, alpha, degenerate=False):
                 block = block_at[root] = []
                 blocks.append(block)
             block.append((row, i))
-    result = PartitionDiagram._trusted(n, p, tuple(map(tuple, blocks)))
-    return CompositionResult(components - len(blocks), result, is_zero=is_zero)
+    return components - len(blocks), tuple(map(tuple, blocks)), cyclic
+
+
+def compose_brauer(beta, alpha):
+    """beta after alpha in the matching family (plain, walled, planar)."""
+    closed, edges, _ = _glue(beta, alpha, "edges")
+    cls = WalledBrauerDiagram if type(alpha) is WalledBrauerDiagram else BrauerDiagram
+    return CompositionResult(closed, cls._trusted(alpha.bottom, beta.top, edges))
+
+
+def compose_partition(beta, alpha, degenerate=False):
+    """beta after alpha by merging touching blocks through the middle.
+
+    The degenerate rule sends the product to zero when the blocks of
+    alpha and beta, joined at the middle vertices, contain a cycle.
+    """
+    closed, blocks, cyclic = _glue(beta, alpha, "blocks")
+    result = PartitionDiagram._trusted(alpha.n, beta.m, blocks)
+    return CompositionResult(closed, result, is_zero=degenerate and cyclic)
 
 
 def compose_signed(beta, alpha):
-    """beta after alpha with orientation bookkeeping.
+    """beta after alpha in the oriented variant.
 
-    Inputs may carry any orientations; they are first rewritten to the
-    reference orientation (folding a sign). Each traced component then
-    contributes (-1)**(flips + h//2) where h is the number of oriented
-    edges in the component and flips counts edges traversed against
-    their arrow; the traversal direction of a component whose result
-    edge is horizontal follows that edge's reference orientation. The
-    convention is pinned down by the functor to the plain category at
-    negated parameter and by the symplectic tensor action.
+    Inputs may carry any orientations; the result carries the reference
+    ones. The sign comes from the comparison functor to the plain
+    category at negated parameter: eps(beta o alpha) at d equals
+    eps(beta) o eps(alpha) at -d, so
+    sign = eps(alpha) * eps(beta) * eps(result) * (-1)**closed.
     """
-    if alpha.m != beta.n:
-        raise ShapeMismatch(f"middle sizes differ: {alpha.m} vs {beta.n}")
-    s_a, alpha = alpha.canonicalize()
-    s_b, beta = beta.canonicalize()
-    sign = s_a * s_b
-
-    arrow_of = {}
-    for tail, head in alpha.arrows:
-        if tail[0] == TOP:  # middle horizontal contributed by alpha
-            arrow_of[("a", frozenset((tail[1], head[1])))] = (tail[1], head[1])
-    for tail, head in beta.arrows:
-        if tail[0] == BOTTOM:
-            arrow_of[("b", frozenset((tail[1], head[1])))] = (tail[1], head[1])
-
-    edges, cycles, paths = _trace(alpha, beta)
-
-    def component_sign(steps, reverse=False):
-        if reverse:
-            steps = [(side, t2, t1) for side, t1, t2 in reversed(steps)]
-        flips = 0
-        for side, t1, t2 in steps:
-            if arrow_of[(side, frozenset((t1, t2)))] != (t1, t2):
-                flips += 1
-        return -1 if (flips + len(steps) // 2) % 2 else 1
-
-    n, p = alpha.n, beta.m
-    result_arrows = []
-    for key, (start, steps) in paths.items():
-        va, vb = key
-        if va[0] == vb[0]:
-            result_arrows.append(canonical_arrow(key, n, p))
-            if steps:
-                # traversal must start at the result arrow's tail
-                tail = canonical_arrow(key, n, p)[0]
-                started_at = (BOTTOM if start[0] == "S" else TOP, start[1])
-                sign *= component_sign(steps, reverse=started_at != tail)
-        elif steps:
-            sign *= component_sign(steps)
-    for cyc in cycles:
-        sign *= component_sign(cyc)
-
-    # alpha's bottom and beta's top horizontals keep their (reference)
-    # orientations; their endpoints are unchanged by composition
-    for tail, head in alpha.arrows:
-        if tail[0] == BOTTOM:
-            result_arrows.append((tail, head))
-    for tail, head in beta.arrows:
-        if tail[0] == TOP:
-            result_arrows.append((tail, head))
-
-    result = SignedBrauerDiagram._trusted(
-        n, p, tuple(sorted(edges)), tuple(sorted(result_arrows))
+    closed, edges, _ = _glue(beta, alpha, "edges")
+    # in the reference orientation bottom arrows point right, top ones left
+    arrows = sorted(
+        (x, y) if x[0] == BOTTOM else (y, x) for x, y in edges if x[0] == y[0]
     )
-    return CompositionResult(len(cycles), result, sign=sign)
+    result = SignedBrauerDiagram._trusted(alpha.n, beta.m, edges, tuple(arrows))
+    sign = epsilon_sign(alpha) * epsilon_sign(beta) * epsilon_sign(result)
+    return CompositionResult(closed, result, sign=-sign if closed % 2 else sign)
 
 
 def compose_fisharp(beta, alpha, allow_non_injective=False):
@@ -304,8 +147,7 @@ def compose_fisharp(beta, alpha, allow_non_injective=False):
     With allow_non_injective the same engine composes arbitrary
     partial (in particular total) maps.
     """
-    if alpha.m != beta.n:
-        raise ShapeMismatch(f"middle sizes differ: {alpha.m} vs {beta.n}")
+    _check(beta, alpha)
     b = beta.as_dict()
     pairs = [(s, b[t]) for s, t in alpha.pairs if t in b]
     result = PartialInjection(
@@ -325,25 +167,24 @@ def epsilon_sign(alpha):
     stabilizer of the standard oriented matching is even.
     """
     n, m = alpha.n, alpha.m
-
-    def pos(v):
-        row, i = v
-        return i if row == BOTTOM else n + m + 1 - i
-
-    oriented = []
-    arrows = {frozenset(a): a for a in alpha.arrows}
-    for a, b in alpha.edges:
-        arrow = arrows.get(frozenset((a, b)))
-        if arrow is not None:
-            oriented.append((pos(arrow[0]), pos(arrow[1])))
+    last = n + m + 1
+    perm = [0] * last
+    # edges are sorted pairs, so only a top horizontal lists its
+    # larger position first
+    for k, ((r1, i1), (r2, i2)) in enumerate(alpha.edges):
+        if r1 == TOP:
+            x, y = last - i2, last - i1
         else:
-            x, y = pos(a), pos(b)
-            oriented.append((x, y) if x < y else (y, x))
-    perm = [0] * (n + m + 1)
-    for k, (a, b) in enumerate(oriented):
-        perm[a] = 2 * k + 1
-        perm[b] = 2 * k + 2
-    return _perm_sign(perm[1:])
+            x, y = i1, i2 if r2 == BOTTOM else last - i2
+        perm[x] = 2 * k + 1
+        perm[y] = 2 * k + 2
+    sign = _perm_sign(perm[1:])
+    # an arrow pointing from larger to smaller position swaps the two
+    # images of its edge, a transposition
+    for (row, i), (_, j) in alpha.arrows:
+        if (i > j) == (row == BOTTOM):
+            sign = -sign
+    return sign
 
 
 def _perm_sign(images):

@@ -78,13 +78,8 @@ class Diagram:
     def __setattr__(self, name, value):
         raise AttributeError("diagrams are immutable")
 
-    @property
-    def bottom(self):
-        return self.n
-
-    @property
-    def top(self):
-        return self.m
+    bottom = property(attrgetter("n"))
+    top = property(attrgetter("m"))
 
     def sort_key(self):
         return self._key(self)
@@ -131,11 +126,15 @@ class BrauerDiagram(Diagram):
     """Perfect matching on the disjoint union of a bottom and a top row."""
 
     variant = "brauer"
-    __slots__ = ("edges",)
+    __slots__ = ("edges", "_labels")
     _fields = ("n", "m", "edges")
 
     def __init__(self, n, m, edges):
         super().__init__(n, m, _matching_edges(n, m, edges))
+
+    def labels(self):
+        """Edge index of each vertex, in the order b1..bn, t1..tm."""
+        return _part_labels(self, self.edges)
 
     def edge_kinds(self):
         """(vertical, bottom horizontal, top horizontal) edge tuples."""
@@ -160,6 +159,22 @@ class BrauerDiagram(Diagram):
             "top": self.m,
             "edges": [[vertex_text(a), vertex_text(b)] for a, b in self.edges],
         }
+
+
+def _part_labels(d, parts):
+    """Index in `parts` of the part holding each vertex of d, in the
+    order b1..bn, t1..tm; computed once and kept on the value."""
+    try:
+        return d._labels
+    except AttributeError:
+        n = d.n
+        labels = [0] * (n + d.m)
+        for label, part in enumerate(parts):
+            for row, i in part:
+                labels[i - 1 if row == BOTTOM else n + i - 1] = label
+        labels = tuple(labels)
+        object.__setattr__(d, "_labels", labels)
+        return labels
 
 
 def _first_missing(seen, n, m):
@@ -353,16 +368,7 @@ class PartitionDiagram(Diagram):
         Blocks are numbered in canonical order, so this is the
         restricted-growth string of the partition.
         """
-        try:
-            return self._labels
-        except AttributeError:
-            labels = [0] * (self.n + self.m)
-            for label, block in enumerate(self.blocks):
-                for row, i in block:
-                    labels[i - 1 if row == BOTTOM else self.n + i - 1] = label
-            labels = tuple(labels)
-            object.__setattr__(self, "_labels", labels)
-            return labels
+        return _part_labels(self, self.blocks)
 
     def to_text(self):
         body = "".join(

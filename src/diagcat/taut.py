@@ -25,6 +25,7 @@ from .diagrams import (
     WalledBrauerDiagram,
     enumerate_diagrams,
     is_downwards,
+    is_planar,
 )
 from .errors import (
     DimensionBudgetExceeded,
@@ -140,6 +141,8 @@ def _check_variant(ctx, d):
     }[ctx.variant]
     if type(d) is not expected:
         raise VariantMismatch(f"{type(d).__name__} under a {ctx.variant} context")
+    if ctx.variant == "temperley_lieb" and not is_planar(d):
+        raise VariantMismatch(f"non-planar {d.to_text()} under a temperley_lieb context")
 
 
 def taut_matrix(ctx, d):
@@ -321,6 +324,10 @@ def verify_taut_functoriality(ctx, max_size):
     power (times the composition sign) times the matrix of the
     composed diagram, with exact equality.
     """
+    if ctx.dim**max_size > ctx.row_budget:
+        raise DimensionBudgetExceeded(
+            f"{ctx.dim}^{max_size} exceeds the row budget {ctx.row_budget}"
+        )
     objects = _objects_up_to(ctx.variant, max_size)
     exact = ctx.variant == "temperley_lieb"
     matrices = {}

@@ -165,6 +165,7 @@ def lr_by_characters(lam, mu, target):
 def partition_compose_oracle(beta, alpha):
     """Partition composition read off the connected components of the
     stacked graph, independent of the library's union-find engine.
+    A matching is read as the partition whose blocks are its edges.
 
     Vertices are named ('b', i) on alpha's bottom row, ('m', i) on the
     shared middle row and ('t', i) on beta's top row. Returns
@@ -177,9 +178,10 @@ def partition_compose_oracle(beta, alpha):
     """
 
     def named(diagram, lower, upper):
+        parts = diagram.blocks if hasattr(diagram, "blocks") else diagram.edges
         return [
             {(lower if row == 0 else upper, i) for row, i in block}
-            for block in diagram.blocks
+            for block in parts
         ]
 
     a_blocks = named(alpha, "b", "m")

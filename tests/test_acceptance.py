@@ -211,6 +211,9 @@ def test_criterion_4_counting_identities():
 
 def test_criterion_5_signed_plain_equivalence():
     with criterion(5, "signed/plain equivalence", 60):
+        # compose_signed takes its sign from this equivalence, so this
+        # restates the engine's rule; tests/test_compose.py checks the
+        # sign against the symplectic matrices
         sizes = range(4)
         for n in sizes:
             for m in sizes:

@@ -1,6 +1,7 @@
 import pytest
 
 from diagcat import (
+    compose,
     compose_brauer,
     compose_fisharp,
     compose_partition,
@@ -11,7 +12,7 @@ from diagcat import (
     make_diagram,
     phi_signed_to_brauer,
 )
-from diagcat.errors import ColorMismatch, ShapeMismatch
+from diagcat.errors import ColorMismatch, ShapeMismatch, VariantMismatch
 from helpers import partition_compose_oracle
 
 
@@ -166,7 +167,8 @@ class TestPartitionComposition:
         assert plain.closed_count == res.closed_count
 
     def test_agrees_with_component_oracle(self):
-        # every hom triple with sizes <= 2, and 3->3->3, under both rules
+        # partitions: every hom triple with sizes <= 2, and 3->3->3, under
+        # both rules
         triples = [(n, m, p) for n in range(3) for m in range(3) for p in range(3)]
         for n, m, p in triples + [(3, 3, 3)]:
             betas = enumerate_diagrams("partition", m, p)
@@ -180,6 +182,24 @@ class TestPartitionComposition:
                         assert res.result.blocks == blocks
                         assert res.closed_count == closed
                         assert res.is_zero == (degenerate and cyclic)
+        # matchings, whose edges the oracle reads as 2-blocks: every plain
+        # hom triple with sizes <= 3 and 4->4->4, and every walled triple
+        # with totals <= 3
+        walled = [(c, total - c) for total in range(4) for c in range(total + 1)]
+        for variant, objects, extra in (
+            ("brauer", range(4), [(4, 4, 4)]),
+            ("walled", walled, []),
+        ):
+            triples = [(n, m, p) for n in objects for m in objects for p in objects]
+            for n, m, p in triples + extra:
+                betas = enumerate_diagrams(variant, m, p)
+                for alpha in enumerate_diagrams(variant, n, m):
+                    for beta in betas:
+                        edges, closed, _ = partition_compose_oracle(beta, alpha)
+                        res = compose_brauer(beta, alpha)
+                        assert type(res.result) is type(alpha)
+                        assert res.result.edges == edges
+                        assert res.closed_count == closed
 
     def test_degenerate_zero_on_long_block_cycle(self):
         # the middle row of gamma o (beta o alpha) joins four blocks in a
@@ -366,6 +386,9 @@ class TestSignedComposition:
     def test_phi_functoriality_small(self):
         # Phi(beta o alpha) at d equals Phi(beta) o Phi(alpha) at -d:
         # sign * eps(result) == (-1)^c * eps(beta) * eps(alpha)
+        # compose_signed takes its sign from this identity, so this
+        # restates the engine's rule; the symplectic test below checks
+        # the sign independently
         sizes = range(4)
         for n in sizes:
             for m in sizes:
@@ -380,6 +403,41 @@ class TestSignedComposition:
                                 * epsilon_sign(alpha)
                             )
                             assert lhs == rhs, (alpha, beta)
+
+    def test_signed_agrees_with_symplectic_action(self):
+        # random orientations at sizes 4-6, past the exhaustive range: the
+        # dim-2 symplectic matrices, built from the arrows without any
+        # composition, multiply as sign * 2^closed * M(result)
+        import random
+
+        from diagcat.diagrams import SignedBrauerDiagram
+        from diagcat.taut import TautContext, _int_matrix
+
+        ctx = TautContext("signed", dim=2)
+        rng = random.Random(4242)
+
+        def random_signed(n, m):
+            points = [b(i) for i in range(1, n + 1)] + [t(i) for i in range(1, m + 1)]
+            rng.shuffle(points)
+            edges = [(points[k], points[k + 1]) for k in range(0, n + m, 2)]
+            arrows = [
+                (x, y) if rng.random() < 0.5 else (y, x)
+                for x, y in edges
+                if x[0] == y[0]
+            ]
+            return SignedBrauerDiagram(n, m, edges, arrows)
+
+        checked = 0
+        while checked < 500:
+            n, m, k = (rng.randint(4, 6) for _ in range(3))
+            if (n + m) % 2 or (m + k) % 2:
+                continue
+            alpha, beta = random_signed(n, m), random_signed(m, k)
+            res = compose_signed(beta, alpha)
+            lhs = _int_matrix(ctx, beta) @ _int_matrix(ctx, alpha)
+            rhs = res.sign * 2**res.closed_count * _int_matrix(ctx, res.result)
+            assert (lhs == rhs).all(), (alpha, beta)
+            checked += 1
 
     def test_associativity_signed(self):
         sizes = range(3)
@@ -406,6 +464,31 @@ class TestSignedComposition:
                                         == gb.sign * right.sign
                                     )
                                     assert left.result == right.result
+
+
+class TestVariantMismatch:
+    def test_mixed_classes_refused(self):
+        plain = identity_diagram("brauer", 2)
+        signed = identity_diagram("signed", 2)
+        walled = make_diagram("walled", (1, 1), (1, 1), [(b(1), t(1)), (b(2), t(2))])
+        partition = identity_diagram("partition", 2)
+        for beta, alpha in (
+            (signed, plain),
+            (plain, signed),
+            (partition, plain),
+            (walled, plain),
+            (plain, walled),
+        ):
+            with pytest.raises(VariantMismatch):
+                compose(beta, alpha)
+        with pytest.raises(VariantMismatch):
+            compose_brauer(walled, plain)
+        with pytest.raises(VariantMismatch):
+            compose_signed(signed, plain)
+        with pytest.raises(VariantMismatch):
+            compose_partition(partition, plain)
+        with pytest.raises(VariantMismatch):
+            compose_fisharp(identity_diagram("fisharp", 2), plain)
 
 
 class TestFISharp:

@@ -91,15 +91,27 @@ class TestBrauerMatrices:
                     taut_matrix(ctx, d).transposed().entries
                 )
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         ctx = TautContext("brauer", dim=10, row_budget=100)
         with pytest.raises(DimensionBudgetExceeded):
             taut_matrix(ctx, identity_diagram("brauer", 3))
+
+        # the sweep refuses before any hom space is enumerated
+        def enumerate_forbidden(*args):
+            raise AssertionError("enumerated before the budget check")
+
+        monkeypatch.setattr("diagcat.taut.enumerate_diagrams", enumerate_forbidden)
+        ctx = TautContext("brauer", dim=2, row_budget=8)
+        with pytest.raises(DimensionBudgetExceeded):
+            verify_taut_functoriality(ctx, 4)
 
     def test_variant_guard(self):
         ctx = TautContext("brauer", dim=2)
         with pytest.raises(VariantMismatch):
             taut_matrix(ctx, identity_diagram("partition", 1))
+        swap = make_diagram("brauer", 2, 2, [(b(1), t(2)), (b(2), t(1))])
+        with pytest.raises(VariantMismatch):
+            taut_matrix(TautContext("temperley_lieb", q=2), swap)
 
 
 class TestPartitionMatrices:
