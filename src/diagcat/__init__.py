@@ -3,9 +3,11 @@
 from .coeff import DeltaPoly, rational_roots
 from .diagrams import (
     BrauerDiagram,
+    DegeneratePartitionDiagram,
     PartialInjection,
     PartitionDiagram,
     SignedBrauerDiagram,
+    TemperleyLiebDiagram,
     WalledBrauerDiagram,
     disjoint_union,
     enumerate_diagrams,

@@ -335,37 +335,35 @@ def induced_multiplicity_oracle(lam, mu):
 def principal_permutation_multiplicity(n, m, mu):
     """Multiplicity of the mu-irreducible in the permutation action of
     the top symmetric group on the matching diagrams from [n] to [m]."""
-    from .diagrams import TOP, BrauerDiagram, enumerate_diagrams
-
     mu = check_partition(mu)
-    diagrams = enumerate_diagrams("brauer", n, m)
-    if not diagrams:
+    if (n + m) % 2 != 0:
         return 0
     total = Fraction(0)
     for rho in partitions_of(m):
         chi = sym_character(mu, rho)
-        if chi == 0:
-            continue
-        sigma = _permutation_of_type(rho)
-        fixed = 0
-        for d in diagrams:
-            moved = BrauerDiagram(
-                n,
-                m,
-                [
-                    (
-                        v if v[0] != TOP else (TOP, sigma[v[1] - 1]),
-                        w if w[0] != TOP else (TOP, sigma[w[1] - 1]),
-                    )
-                    for v, w in d.edges
-                ],
-            )
-            if moved == d:
-                fixed += 1
-        total += Fraction(class_size(rho) * chi * fixed)
+        if chi != 0:
+            total += Fraction(class_size(rho) * chi * _fixed_matchings(n, m, rho))
     value = total / factorial(m)
     assert value.denominator == 1
     return int(value)
+
+
+@lru_cache(maxsize=None)
+def _fixed_matchings(n, m, rho):
+    """Number of matching diagrams [n] -> [m] fixed by a permutation of
+    cycle type rho acting on the top row."""
+    from .diagrams import TOP, enumerate_diagrams
+
+    sigma = _permutation_of_type(rho)
+
+    def move(v):
+        return (TOP, sigma[v[1] - 1]) if v[0] == TOP else v
+
+    fixed = 0
+    for d in enumerate_diagrams("brauer", n, m):
+        moved = sorted(tuple(sorted((move(v), move(w)))) for v, w in d.edges)
+        fixed += tuple(moved) == d.edges
+    return fixed
 
 
 def _permutation_of_type(rho):

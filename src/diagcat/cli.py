@@ -248,7 +248,7 @@ def _emit(args, text_lines, json_obj):
 def _cmd_compose(args):
     beta = parse_diagram(args.beta, args.category)
     alpha = parse_diagram(args.alpha, args.category)
-    res = compose(beta, alpha, degenerate=args.category == "degenerate")
+    res = compose(beta, alpha)
     obj = {
         "variant": args.category,
         "closed_count": res.closed_count,

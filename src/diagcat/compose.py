@@ -7,9 +7,11 @@ from .diagrams import (
     BOTTOM,
     TOP,
     BrauerDiagram,
+    DegeneratePartitionDiagram,
     PartialInjection,
     PartitionDiagram,
     SignedBrauerDiagram,
+    TemperleyLiebDiagram,
     WalledBrauerDiagram,
 )
 from .errors import ColorMismatch, ShapeMismatch, VariantMismatch
@@ -41,12 +43,22 @@ class CompositionResult:
         )
 
 
-def _check(beta, alpha):
-    """Refuse operands of two classes or with different middle rows."""
-    if type(beta) is not type(alpha):
+# the classes each per-variant composer accepts
+_MATCHINGS = (BrauerDiagram, TemperleyLiebDiagram, WalledBrauerDiagram)
+_PARTITIONS = (PartitionDiagram, DegeneratePartitionDiagram)
+
+
+def _check(beta, alpha, accepts):
+    """Refuse operands of two classes, of a class outside `accepts`, or
+    with different middle rows."""
+    cls = type(alpha)
+    if type(beta) is not cls:
         raise VariantMismatch(
-            f"cannot compose {type(beta).__name__} after {type(alpha).__name__}"
+            f"cannot compose {type(beta).__name__} after {cls.__name__}"
         )
+    if cls not in accepts:
+        names = ", ".join(c.__name__ for c in accepts)
+        raise VariantMismatch(f"expected one of {names}, not {cls.__name__}")
     if alpha.top != beta.bottom:
         if alpha.m != beta.n:
             raise ShapeMismatch(f"middle sizes differ: {alpha.m} vs {beta.n}")
@@ -55,7 +67,7 @@ def _check(beta, alpha):
         )
 
 
-def _glue(beta, alpha, parts):
+def _glue(beta, alpha, parts, accepts):
     """Stack alpha under beta and merge their parts through the middle.
 
     `parts` names the field holding the parts: a matching's edges or a
@@ -67,9 +79,10 @@ def _glue(beta, alpha, parts):
     canonical order; for matchings they are the sorted edges. Returns
     (closed, blocks, cyclic): the merged components without an outer
     vertex, the outer blocks, and whether some middle vertex joined
-    two parts that were already connected.
+    two parts that were already connected. Operands are checked
+    against `accepts` first.
     """
-    _check(beta, alpha)
+    _check(beta, alpha, accepts)
     na, nb = len(getattr(alpha, parts)), len(getattr(beta, parts))
     n, mid = alpha.n, alpha.m
     a_labels, b_labels = alpha.labels(), beta.labels()
@@ -106,20 +119,22 @@ def _glue(beta, alpha, parts):
 
 def compose_brauer(beta, alpha):
     """beta after alpha in the matching family (plain, walled, planar)."""
-    closed, edges, _ = _glue(beta, alpha, "edges")
-    cls = WalledBrauerDiagram if type(alpha) is WalledBrauerDiagram else BrauerDiagram
-    return CompositionResult(closed, cls._trusted(alpha.bottom, beta.top, edges))
+    closed, edges, _ = _glue(beta, alpha, "edges", _MATCHINGS)
+    result = type(alpha)._trusted(alpha.bottom, beta.top, edges)
+    return CompositionResult(closed, result)
 
 
-def compose_partition(beta, alpha, degenerate=False):
+def compose_partition(beta, alpha):
     """beta after alpha by merging touching blocks through the middle.
 
-    The degenerate rule sends the product to zero when the blocks of
-    alpha and beta, joined at the middle vertices, contain a cycle.
+    The degenerate rule, which applies to DegeneratePartitionDiagram
+    operands, sends the product to zero when the blocks of alpha and
+    beta, joined at the middle vertices, contain a cycle.
     """
-    closed, blocks, cyclic = _glue(beta, alpha, "blocks")
-    result = PartitionDiagram._trusted(alpha.n, beta.m, blocks)
-    return CompositionResult(closed, result, is_zero=degenerate and cyclic)
+    closed, blocks, cyclic = _glue(beta, alpha, "blocks", _PARTITIONS)
+    result = type(alpha)._trusted(alpha.n, beta.m, blocks)
+    zero = cyclic and type(alpha) is DegeneratePartitionDiagram
+    return CompositionResult(closed, result, is_zero=zero)
 
 
 def compose_signed(beta, alpha):
@@ -131,7 +146,7 @@ def compose_signed(beta, alpha):
     eps(beta) o eps(alpha) at -d, so
     sign = eps(alpha) * eps(beta) * eps(result) * (-1)**closed.
     """
-    closed, edges, _ = _glue(beta, alpha, "edges")
+    closed, edges, _ = _glue(beta, alpha, "edges", (SignedBrauerDiagram,))
     # in the reference orientation bottom arrows point right, top ones left
     arrows = sorted(
         (x, y) if x[0] == BOTTOM else (y, x) for x, y in edges if x[0] == y[0]
@@ -141,19 +156,13 @@ def compose_signed(beta, alpha):
     return CompositionResult(closed, result, sign=-sign if closed % 2 else sign)
 
 
-def compose_fisharp(beta, alpha, allow_non_injective=False):
-    """Partial injections composed as partial functions.
-
-    With allow_non_injective the same engine composes arbitrary
-    partial (in particular total) maps.
-    """
-    _check(beta, alpha)
+def compose_fisharp(beta, alpha):
+    """Partial injections composed as partial functions."""
+    _check(beta, alpha, (PartialInjection,))
     b = beta.as_dict()
-    pairs = [(s, b[t]) for s, t in alpha.pairs if t in b]
-    result = PartialInjection(
-        alpha.n, beta.m, pairs, allow_non_injective=allow_non_injective
-    )
-    return CompositionResult(0, result)
+    # alpha's pairs are sorted by source, so the composite's are too
+    pairs = tuple((s, b[t]) for s, t in alpha.pairs if t in b)
+    return CompositionResult(0, PartialInjection._trusted(alpha.n, beta.m, pairs))
 
 
 def epsilon_sign(alpha):
@@ -164,8 +173,17 @@ def epsilon_sign(alpha):
     former vertical edges point from smaller to larger position. The
     result is the sign of any permutation carrying the transferred
     matching to (1->2)(3->4)..., which is well defined because the
-    stabilizer of the standard oriented matching is even.
+    stabilizer of the standard oriented matching is even. Computed
+    once and kept on the value.
     """
+    if type(alpha) is not SignedBrauerDiagram:
+        raise VariantMismatch(
+            f"epsilon_sign takes a SignedBrauerDiagram, not {type(alpha).__name__}"
+        )
+    try:
+        return alpha._epsilon
+    except AttributeError:
+        pass
     n, m = alpha.n, alpha.m
     last = n + m + 1
     perm = [0] * last
@@ -184,6 +202,7 @@ def epsilon_sign(alpha):
     for (row, i), (_, j) in alpha.arrows:
         if (i > j) == (row == BOTTOM):
             sign = -sign
+    object.__setattr__(alpha, "_epsilon", sign)
     return sign
 
 
@@ -210,12 +229,12 @@ def phi_signed_to_brauer(alpha):
     return epsilon_sign(alpha), BrauerDiagram(alpha.n, alpha.m, alpha.edges)
 
 
-def compose(beta, alpha, degenerate=False):
-    """Variant dispatch for single-diagram composition."""
+def compose(beta, alpha):
+    """Single-diagram composition by the rule of alpha's class."""
     if isinstance(alpha, SignedBrauerDiagram):
         return compose_signed(beta, alpha)
     if isinstance(alpha, PartitionDiagram):
-        return compose_partition(beta, alpha, degenerate=degenerate)
+        return compose_partition(beta, alpha)
     if isinstance(alpha, PartialInjection):
         return compose_fisharp(beta, alpha)
     return compose_brauer(beta, alpha)

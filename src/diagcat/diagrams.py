@@ -22,10 +22,6 @@ from .errors import (
 
 BOTTOM, TOP = 0, 1
 
-BRAUER_FAMILY = ("brauer", "signed", "walled", "temperley_lieb")
-PARTITION_FAMILY = ("partition", "degenerate")
-VARIANTS = BRAUER_FAMILY + PARTITION_FAMILY + ("fisharp",)
-
 
 def vertex_text(v):
     row, i = v
@@ -161,6 +157,19 @@ class BrauerDiagram(Diagram):
         }
 
 
+class TemperleyLiebDiagram(BrauerDiagram):
+    """Planar Brauer diagram: no two edges cross under the order
+    b1 < ... < bn < tm < ... < t1."""
+
+    variant = "temperley_lieb"
+    __slots__ = ()
+
+    def __init__(self, n, m, edges):
+        super().__init__(n, m, edges)
+        if not is_planar(self):
+            raise NotAMatching("diagram is not planar")
+
+
 def _part_labels(d, parts):
     """Index in `parts` of the part holding each vertex of d, in the
     order b1..bn, t1..tm; computed once and kept on the value."""
@@ -203,7 +212,7 @@ class SignedBrauerDiagram(BrauerDiagram):
     """
 
     variant = "signed"
-    __slots__ = ("arrows",)
+    __slots__ = ("arrows", "_epsilon")
     _fields = ("n", "m", "edges", "arrows")
 
     def __init__(self, n, m, edges, arrows=None):
@@ -385,6 +394,14 @@ class PartitionDiagram(Diagram):
         }
 
 
+class DegeneratePartitionDiagram(PartitionDiagram):
+    """Partition diagram under the degenerate rule: a composite whose
+    glued blocks close a cycle is zero."""
+
+    variant = "degenerate"
+    __slots__ = ()
+
+
 class PartialInjection(Diagram):
     """Injection from a subset of the bottom row to a subset of the top."""
 
@@ -392,7 +409,7 @@ class PartialInjection(Diagram):
     __slots__ = ("pairs",)
     _fields = ("n", "m", "pairs")
 
-    def __init__(self, n, m, pairs, allow_non_injective=False):
+    def __init__(self, n, m, pairs):
         pairs = tuple(sorted((int(a), int(b)) for a, b in pairs))
         for a, b in pairs:
             if not (1 <= a <= n and 1 <= b <= m):
@@ -401,7 +418,7 @@ class PartialInjection(Diagram):
         img = [b for _, b in pairs]
         if len(set(dom)) != len(dom):
             raise NotInjective("repeated source vertex")
-        if not allow_non_injective and len(set(img)) != len(img):
+        if len(set(img)) != len(img):
             raise NotInjective("repeated target vertex")
         super().__init__(n, m, pairs)
 
@@ -421,54 +438,61 @@ class PartialInjection(Diagram):
         }
 
 
+# the class of each variant, in the order the CLI lists them
+_CLASSES = {
+    "brauer": BrauerDiagram,
+    "signed": SignedBrauerDiagram,
+    "walled": WalledBrauerDiagram,
+    "temperley_lieb": TemperleyLiebDiagram,
+    "partition": PartitionDiagram,
+    "degenerate": DegeneratePartitionDiagram,
+    "fisharp": PartialInjection,
+}
+VARIANTS = tuple(_CLASSES)
+
+
+def variant_class(variant):
+    """The diagram class of a variant name."""
+    try:
+        return _CLASSES[variant]
+    except (KeyError, TypeError):
+        raise UnsupportedVariant(f"unknown variant {variant!r}") from None
+
+
 def make_diagram(variant, bottom, top, data):
     """Validate and build the canonical diagram of the given variant."""
-    if variant == "brauer":
-        return BrauerDiagram(bottom, top, data)
-    if variant == "temperley_lieb":
-        d = BrauerDiagram(bottom, top, data)
-        if not is_planar(d):
-            raise NotAMatching("diagram is not planar")
-        return d
-    if variant == "signed":
+    cls = variant_class(variant)
+    if cls is SignedBrauerDiagram:
         edges = [tuple(e) for e in data]
-        n, m = bottom, top
         arrows = [e for e in edges if e[0][0] == e[1][0]]
-        return SignedBrauerDiagram(n, m, edges, arrows)
-    if variant == "walled":
-        return WalledBrauerDiagram(bottom, top, data)
-    if variant in PARTITION_FAMILY:
-        return PartitionDiagram(bottom, top, data)
-    if variant == "fisharp":
-        return PartialInjection(bottom, top, data)
-    raise UnsupportedVariant(f"unknown variant {variant!r}")
+        return cls(bottom, top, edges, arrows)
+    return cls(bottom, top, data)
 
 
 def is_upwards(d):
     """No structure below: the diagram lives in the upwards subcategory."""
-    if isinstance(d, PartialInjection):
-        return len(d.pairs) == d.n
-    if isinstance(d, PartitionDiagram):
-        for b in d.blocks:
-            n_bot = sum(1 for v in b if v[0] == BOTTOM)
-            if n_bot > 1 or n_bot == len(b):
-                return False
-        return True
-    _, bot, _ = d.edge_kinds()
-    return not bot
+    return _through_from(d, BOTTOM)
 
 
 def is_downwards(d):
+    """No structure above: the diagram lives in the downwards subcategory."""
+    return _through_from(d, TOP)
+
+
+def _through_from(d, row):
+    """No part meets `row` twice or lies in `row` entirely."""
     if isinstance(d, PartialInjection):
-        return len(d.pairs) == d.m
+        return len(d.pairs) == (d.n if row == BOTTOM else d.m)
     if isinstance(d, PartitionDiagram):
-        for b in d.blocks:
-            n_top = sum(1 for v in b if v[0] == TOP)
-            if n_top > 1 or n_top == len(b):
+        for part in d.blocks:
+            k = sum(1 for v in part if v[0] == row)
+            if k > 1 or k == len(part):
                 return False
         return True
-    _, _, top = d.edge_kinds()
-    return not top
+    for a, b in d.edges:
+        if a[0] == b[0] == row:
+            return False
+    return True
 
 
 def is_planar(d):
@@ -489,12 +513,11 @@ def transpose(d):
         return PartialInjection(d.m, d.n, [(b, a) for a, b in d.pairs])
     if isinstance(d, PartitionDiagram):
         blocks = [tuple(sorted([(1 - row, i) for row, i in b])) for b in d.blocks]
-        return PartitionDiagram._trusted(d.m, d.n, tuple(sorted(blocks)))
+        return type(d)._trusted(d.m, d.n, tuple(sorted(blocks)))
     flip = lambda v: (1 - v[0], v[1])
     edges = tuple(sorted(_canon_edge((flip(a), flip(b))) for a, b in d.edges))
-    if isinstance(d, WalledBrauerDiagram):
-        return WalledBrauerDiagram._trusted(d.top_colors, d.bottom_colors, edges)
-    return BrauerDiagram._trusted(d.m, d.n, edges)
+    # the fields of a walled value start with the colorings, not the sizes
+    return type(d)._trusted(d.top, d.bottom, edges)
 
 
 def disjoint_union(d1, d2):
@@ -519,7 +542,7 @@ def disjoint_union(d1, d2):
             for b in d2.blocks
         ]
         blocks.sort()
-        return PartitionDiagram._trusted(n + d2.n, m + d2.m, tuple(blocks))
+        return type(d1)._trusted(n + d2.n, m + d2.m, tuple(blocks))
     edges = list(d1.edges) + [(shift(a), shift(b)) for a, b in d2.edges]
     if isinstance(d1, SignedBrauerDiagram):
         arrows = list(d1.arrows) + [
@@ -528,7 +551,7 @@ def disjoint_union(d1, d2):
         return SignedBrauerDiagram._trusted(
             d1.n + d2.n, d1.m + d2.m, tuple(sorted(edges)), tuple(sorted(arrows))
         )
-    return BrauerDiagram._trusted(d1.n + d2.n, d1.m + d2.m, tuple(sorted(edges)))
+    return type(d1)._trusted(d1.n + d2.n, d1.m + d2.m, tuple(sorted(edges)))
 
 
 def _walled_union(d1, d2):
@@ -567,6 +590,23 @@ def _matchings(points):
             yield [(first, points[idx])] + sub
 
 
+def _noncrossing(points):
+    """Noncrossing perfect matchings of points listed in circular order.
+
+    The first point pairs with a point at odd distance, which leaves an
+    even number of points on each side of that edge; the two sides are
+    then matched independently (Knuth, TAOCP 4A, 7.2.1.6).
+    """
+    if not points:
+        yield []
+        return
+    first = points[0]
+    for idx in range(1, len(points), 2):
+        for inner in _noncrossing(points[1:idx]):
+            for outer in _noncrossing(points[idx + 1 :]):
+                yield [(first, points[idx])] + inner + outer
+
+
 def _set_partitions(points):
     if not points:
         yield []
@@ -580,59 +620,47 @@ def _set_partitions(points):
 
 def enumerate_diagrams(variant, bottom, top):
     """All canonical diagrams of the hom space, in sorted order."""
-    walled = variant == "walled"
+    cls = variant_class(variant)
+    walled = cls is WalledBrauerDiagram
     n, m = (sum(bottom), sum(top)) if walled else (bottom, top)
     points = [(BOTTOM, i) for i in range(1, n + 1)] + [
         (TOP, i) for i in range(1, m + 1)
     ]
-    # _matchings yields each matching as canonical edges in sorted order
     out = []
-    if walled:
+    if issubclass(cls, PartitionDiagram):
+        out = [
+            cls._trusted(n, m, tuple(sorted(map(tuple, blocks))))
+            for blocks in _set_partitions(points)
+        ]
+    elif cls is PartialInjection:
+        bot = list(range(1, n + 1))
+        for k in range(min(n, m) + 1):
+            for dom in combinations(bot, k):
+                for img in _injections(k, m):
+                    out.append(PartialInjection(n, m, list(zip(dom, img))))
+    elif (n + m) % 2:  # no matching on an odd number of points
+        pass
+    elif cls is TemperleyLiebDiagram:
+        # the points in the order b1 < ... < bn < tm < ... < t1
+        for edges in _noncrossing(points[:n] + points[n:][::-1]):
+            out.append(cls._trusted(n, m, tuple(sorted(map(_canon_edge, edges)))))
+    elif walled:
         bottom, top = tuple(bottom), tuple(top)
 
         def color(v):
             row, i = v
             return 1 if i <= (bottom[0] if row == BOTTOM else top[0]) else 2
 
-        if (n + m) % 2 == 0:
-            for edges in _matchings(points):
-                ok = True
-                for a, b in edges:
-                    same_row = a[0] == b[0]
-                    if (color(a) == color(b)) == same_row:
-                        ok = False
-                        break
-                if ok:
-                    out.append(
-                        WalledBrauerDiagram._trusted(bottom, top, tuple(edges))
-                    )
-    elif variant in ("brauer", "signed", "temperley_lieb"):
-        if (n + m) % 2 == 0:
-            for edges in _matchings(points):
-                d = BrauerDiagram._trusted(n, m, tuple(edges))
-                if variant == "temperley_lieb" and not is_planar(d):
-                    continue
-                if variant == "signed":
-                    arrows = [
-                        canonical_arrow(e, n, m) for e in d.edges if e[0][0] == e[1][0]
-                    ]
-                    d = SignedBrauerDiagram._trusted(
-                        n, m, d.edges, tuple(sorted(arrows))
-                    )
-                out.append(d)
-    elif variant in PARTITION_FAMILY:
-        out = [
-            PartitionDiagram._trusted(n, m, tuple(sorted(map(tuple, blocks))))
-            for blocks in _set_partitions(points)
-        ]
-    elif variant == "fisharp":
-        bot = list(range(1, n + 1))
-        for k in range(min(n, m) + 1):
-            for dom in combinations(bot, k):
-                for img in _injections(k, m):
-                    out.append(PartialInjection(n, m, list(zip(dom, img))))
+        # _matchings yields each matching as canonical edges in sorted order
+        for edges in _matchings(points):
+            if all((color(a) == color(b)) != (a[0] == b[0]) for a, b in edges):
+                out.append(cls._trusted(bottom, top, tuple(edges)))
+    elif cls is SignedBrauerDiagram:
+        for edges in _matchings(points):
+            arrows = [canonical_arrow(e, n, m) for e in edges if e[0][0] == e[1][0]]
+            out.append(cls._trusted(n, m, tuple(edges), tuple(sorted(arrows))))
     else:
-        raise UnsupportedVariant(f"unknown variant {variant!r}")
+        out = [cls._trusted(n, m, tuple(edges)) for edges in _matchings(points)]
     return sorted(out, key=Diagram.sort_key)
 
 
@@ -646,16 +674,8 @@ def _injections(k, m):
 
 def identity_diagram(variant, size):
     """id on the object [size] (a color pair for the walled variant)."""
-    if variant == "walled":
-        n1, n2 = size
-        edges = [((BOTTOM, i), (TOP, i)) for i in range(1, n1 + n2 + 1)]
-        return WalledBrauerDiagram(size, size, edges)
-    if variant in PARTITION_FAMILY:
-        blocks = [((BOTTOM, i), (TOP, i)) for i in range(1, size + 1)]
-        return PartitionDiagram(size, size, blocks)
-    if variant == "fisharp":
-        return PartialInjection(size, size, [(i, i) for i in range(1, size + 1)])
-    edges = [((BOTTOM, i), (TOP, i)) for i in range(1, size + 1)]
-    if variant == "signed":
-        return SignedBrauerDiagram(size, size, edges)
-    return BrauerDiagram(size, size, edges)
+    cls = variant_class(variant)
+    if cls is PartialInjection:
+        return cls(size, size, [(i, i) for i in range(1, size + 1)])
+    total = sum(size) if cls is WalledBrauerDiagram else size
+    return cls(size, size, [((BOTTOM, i), (TOP, i)) for i in range(1, total + 1)])

@@ -51,17 +51,16 @@ class Morphism:
         return cls(variant, source, target)
 
     @classmethod
-    def from_diagram(cls, d, coeff=1, variant=None):
-        variant = variant or d.variant
+    def from_diagram(cls, d, coeff=1):
         coeff = _as_poly(coeff)
         if isinstance(d, SignedBrauerDiagram):
             sign, d = d.canonicalize()
             coeff = coeff * sign
-        return cls(variant, d.bottom, d.top, {d: coeff})
+        return cls(d.variant, d.bottom, d.top, {d: coeff})
 
     @classmethod
     def identity(cls, variant, size):
-        return cls.from_diagram(identity_diagram(variant, size), variant=variant)
+        return cls.from_diagram(identity_diagram(variant, size))
 
     def is_zero(self):
         return not self.terms
@@ -136,11 +135,10 @@ def morphism_compose(g, f):
     g._check_compatible(f)
     if f.target != g.source:
         raise ShapeMismatch("inner objects do not match")
-    degenerate = g.variant == "degenerate"
     terms = {}
     for df, cf in f.terms.items():
         for dg, cg in g.terms.items():
-            res = compose(dg, df, degenerate=degenerate)
+            res = compose(dg, df)
             if res.is_zero:
                 continue
             c = cf * cg * DeltaPoly.delta_power(res.closed_count, res.sign)
@@ -232,50 +230,24 @@ def factorize(d):
         raise UnsupportedVariant("factorization of signed diagrams is out of scope")
     if isinstance(d, PartitionDiagram):
         return _factorize_partition(d)
-    if isinstance(d, WalledBrauerDiagram):
-        return _factorize_walled(d)
     if isinstance(d, BrauerDiagram):
-        return _factorize_brauer(d)
+        return _factorize_matching(d)
     raise UnsupportedVariant(f"cannot factorize {type(d).__name__}")
 
 
-def _factorize_brauer(d):
+def _factorize_matching(d):
     vert, bot, top = d.edge_kinds()
-    vert = sorted(vert, key=lambda e: min(v[1] for v in e if v[0] == BOTTOM))
-    p = len(vert)
-    down_edges = list(bot)
-    up_edges = list(top)
-    for k, (a, b) in enumerate(vert, start=1):
-        bottom_v, top_v = (a, b) if a[0] == BOTTOM else (b, a)
-        down_edges.append((bottom_v, (TOP, k)))
-        up_edges.append(((BOTTOM, k), top_v))
-    down = BrauerDiagram(d.n, p, down_edges)
-    up = BrauerDiagram(p, d.m, up_edges)
-    return Factorization(p, down, up)
-
-
-def _factorize_walled(d):
-    vert, bot, top = d.edge_kinds()
-    vert_by_color = {1: [], 2: []}
-    for e in vert:
-        bottom_v = e[0] if e[0][0] == BOTTOM else e[1]
-        vert_by_color[d.color(bottom_v)].append(e)
-    for edges in vert_by_color.values():
-        edges.sort(key=lambda e: min(v[1] for v in e if v[0] == BOTTOM))
-    p1, p2 = len(vert_by_color[1]), len(vert_by_color[2])
-    down_edges = list(bot)
-    up_edges = list(top)
-    k = 0
-    for color in (1, 2):
-        for a, b in vert_by_color[color]:
-            k += 1
-            bottom_v, top_v = (a, b) if a[0] == BOTTOM else (b, a)
-            down_edges.append((bottom_v, (TOP, k)))
-            up_edges.append(((BOTTOM, k), top_v))
-    middle = (p1, p2)
-    down = WalledBrauerDiagram(d.bottom_colors, middle, down_edges)
-    up = WalledBrauerDiagram(middle, d.top_colors, up_edges)
-    return Factorization(middle, down, up)
+    # a canonical vertical edge lists its bottom end first, and the edges
+    # are sorted, so vert runs in the order of the bottom ends; on a
+    # walled row that puts every color-1 edge before every color-2 one
+    middle = len(vert)
+    if isinstance(d, WalledBrauerDiagram):
+        p1 = sum(1 for a, _ in vert if d.color(a) == 1)
+        middle = (p1, middle - p1)
+    down = bot + [(a, (TOP, k)) for k, (a, _) in enumerate(vert, 1)]
+    up = top + [((BOTTOM, k), b) for k, (_, b) in enumerate(vert, 1)]
+    cls = type(d)
+    return Factorization(middle, cls(d.bottom, middle, down), cls(middle, d.top, up))
 
 
 def _factorize_partition(d):
@@ -290,8 +262,8 @@ def _factorize_partition(d):
         up_blocks.append(
             ((BOTTOM, k),) + tuple(v for v in b if v[0] == TOP)
         )
-    down = PartitionDiagram(d.n, p, down_blocks)
-    up = PartitionDiagram(p, d.m, up_blocks)
+    down = type(d)(d.n, p, down_blocks)
+    up = type(d)(p, d.m, up_blocks)
     return Factorization(p, down, up)
 
 

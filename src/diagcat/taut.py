@@ -19,13 +19,11 @@ from .compose import compose
 from .diagrams import (
     BOTTOM,
     TOP,
-    BrauerDiagram,
     PartitionDiagram,
     SignedBrauerDiagram,
-    WalledBrauerDiagram,
     enumerate_diagrams,
     is_downwards,
-    is_planar,
+    variant_class,
 )
 from .errors import (
     DimensionBudgetExceeded,
@@ -132,17 +130,8 @@ def _check_budget(ctx, d):
 
 
 def _check_variant(ctx, d):
-    expected = {
-        "brauer": BrauerDiagram,
-        "temperley_lieb": BrauerDiagram,
-        "walled": WalledBrauerDiagram,
-        "partition": PartitionDiagram,
-        "signed": SignedBrauerDiagram,
-    }[ctx.variant]
-    if type(d) is not expected:
+    if type(d) is not variant_class(ctx.variant):
         raise VariantMismatch(f"{type(d).__name__} under a {ctx.variant} context")
-    if ctx.variant == "temperley_lieb" and not is_planar(d):
-        raise VariantMismatch(f"non-planar {d.to_text()} under a temperley_lieb context")
 
 
 def taut_matrix(ctx, d):

@@ -128,12 +128,7 @@ class TestAlgebraTables:
 
         for variant, n in [("brauer", 2), ("partition", 2), ("temperley_lieb", 3)]:
             alg = build_algebra(variant, n)
-            base_variant = "partition" if variant == "partition" else variant
-            ident = alg.index[
-                identity_diagram(
-                    "brauer" if variant == "temperley_lieb" else base_variant, n
-                )
-            ]
+            ident = alg.index[identity_diagram(variant, n)]
             for j in range(alg.dimension):
                 assert alg.product(ident, j) == (0, 1, j)
                 assert alg.product(j, ident) == (0, 1, j)

@@ -139,6 +139,31 @@ class TestCommands:
         assert code == 0
         assert out == "5\n"
 
+    def test_json_reports_the_value_class(self, capsys):
+        # a planar or degenerate value names its own variant, not the
+        # plain family it shares a grammar with
+        for category, beta, alpha, is_zero in (
+            ("temperley_lieb", "2->2:(b1 b2)(t1 t2)", "2->2:(b1 b2)(t1 t2)", False),
+            ("degenerate", "2->1:{b1 t1}{b2}", "1->2:{b1 t1}{t2}", False),
+            ("degenerate", "2->0:{b1 b2}", "0->2:{t1 t2}", True),
+        ):
+            argv = ["compose", "--category", category, beta, alpha, "--json"]
+            code, out, _ = capture(capsys, argv)
+            obj = json.loads(out)
+            assert code == 0 and obj["variant"] == category
+            assert obj["is_zero"] is is_zero
+            if not is_zero:
+                assert obj["result"]["variant"] == category
+        for category in ("temperley_lieb", "degenerate"):
+            argv = ["enumerate", "--category", category, "1", "1", "--json"]
+            code, out, _ = capture(capsys, argv)
+            obj = json.loads(out)
+            assert {d["variant"] for d in obj["diagrams"]} == {category}
+        argv = ["factor", "--category", "temperley_lieb", "2->2:(b1 b2)(t1 t2)", "--json"]
+        code, out, _ = capture(capsys, argv)
+        obj = json.loads(out)
+        assert obj["down"]["variant"] == obj["up"]["variant"] == "temperley_lieb"
+
     def test_enumerate_list(self, capsys):
         code, out, _ = capture(capsys, ["enumerate", "1", "1"])
         assert code == 0

@@ -85,7 +85,7 @@ class TestBrauerComposition:
             compose_brauer(CAP, identity_diagram("brauer", 4))
 
     def test_temperley_lieb_closure(self):
-        from diagcat import is_planar
+        from diagcat import TemperleyLiebDiagram, is_planar
 
         for n in range(5):
             for m in range(5):
@@ -93,6 +93,7 @@ class TestBrauerComposition:
                     for alpha in enumerate_diagrams("temperley_lieb", n, m):
                         for beta in enumerate_diagrams("temperley_lieb", m, k):
                             res = compose_brauer(beta, alpha)
+                            assert type(res.result) is TemperleyLiebDiagram
                             assert is_planar(res.result)
 
 
@@ -149,21 +150,31 @@ class TestPartitionComposition:
 
     def test_degenerate_zero(self):
         # two blocks of alpha meet one block of beta in two middle vertices
-        alpha = make_diagram("partition", 0, 2, [[t(1), t(2)]])
-        beta = make_diagram("partition", 2, 0, [[b(1), b(2)]])
-        res = compose_partition(beta, alpha, degenerate=True)
+        alpha = make_diagram("degenerate", 0, 2, [[t(1), t(2)]])
+        beta = make_diagram("degenerate", 2, 0, [[b(1), b(2)]])
+        res = compose_partition(beta, alpha)
         assert res.is_zero
-        plain = compose_partition(beta, alpha, degenerate=False)
+        plain = compose_partition(
+            make_diagram("partition", 2, 0, [[b(1), b(2)]]),
+            make_diagram("partition", 0, 2, [[t(1), t(2)]]),
+        )
         assert not plain.is_zero and plain.closed_count == 1
 
     def test_degenerate_nonzero_matches_plain(self):
-        alpha = make_diagram("partition", 1, 2, [[b(1), t(1)], [t(2)]])
-        beta = make_diagram("partition", 2, 1, [[b(1), t(1)], [b(2)]])
-        res = compose_partition(beta, alpha, degenerate=True)
+        alpha_blocks = [[b(1), t(1)], [t(2)]]
+        beta_blocks = [[b(1), t(1)], [b(2)]]
+        res = compose_partition(
+            make_diagram("degenerate", 2, 1, beta_blocks),
+            make_diagram("degenerate", 1, 2, alpha_blocks),
+        )
         assert not res.is_zero
         assert res.closed_count == 1  # the two middle singletons merge
-        plain = compose_partition(beta, alpha)
-        assert plain.result == res.result
+        assert res.result.variant == "degenerate"
+        plain = compose_partition(
+            make_diagram("partition", 2, 1, beta_blocks),
+            make_diagram("partition", 1, 2, alpha_blocks),
+        )
+        assert plain.result.blocks == res.result.blocks
         assert plain.closed_count == res.closed_count
 
     def test_agrees_with_component_oracle(self):
@@ -171,14 +182,16 @@ class TestPartitionComposition:
         # both rules
         triples = [(n, m, p) for n in range(3) for m in range(3) for p in range(3)]
         for n, m, p in triples + [(3, 3, 3)]:
-            betas = enumerate_diagrams("partition", m, p)
-            for alpha in enumerate_diagrams("partition", n, m):
-                for beta in betas:
-                    blocks, closed, cyclic = partition_compose_oracle(
-                        beta, alpha
-                    )
-                    for degenerate in (False, True):
-                        res = compose_partition(beta, alpha, degenerate=degenerate)
+            for variant in ("partition", "degenerate"):
+                degenerate = variant == "degenerate"
+                betas = enumerate_diagrams(variant, m, p)
+                for alpha in enumerate_diagrams(variant, n, m):
+                    for beta in betas:
+                        blocks, closed, cyclic = partition_compose_oracle(
+                            beta, alpha
+                        )
+                        res = compose_partition(beta, alpha)
+                        assert type(res.result) is type(alpha)
                         assert res.result.blocks == blocks
                         assert res.closed_count == closed
                         assert res.is_zero == (degenerate and cyclic)
@@ -204,19 +217,19 @@ class TestPartitionComposition:
     def test_degenerate_zero_on_long_block_cycle(self):
         # the middle row of gamma o (beta o alpha) joins four blocks in a
         # cycle without any two of them sharing two middle vertices
-        alpha = make_diagram("partition", 1, 2, [[b(1), t(1), t(2)]])
+        alpha = make_diagram("degenerate", 1, 2, [[b(1), t(1), t(2)]])
         beta = make_diagram(
-            "partition", 2, 4, [[b(1), t(3)], [b(2), t(2)], [t(1), t(4)]]
+            "degenerate", 2, 4, [[b(1), t(3)], [b(2), t(2)], [t(1), t(4)]]
         )
-        gamma = make_diagram("partition", 4, 0, [[b(1), b(2)], [b(3), b(4)]])
-        ba = compose_partition(beta, alpha, degenerate=True)
+        gamma = make_diagram("degenerate", 4, 0, [[b(1), b(2)], [b(3), b(4)]])
+        ba = compose_partition(beta, alpha)
         assert not ba.is_zero
         assert ba.result.to_text() == "1->4:{b1 t2 t3}{t1 t4}"
         assert partition_compose_oracle(gamma, ba.result)[2]
-        assert compose_partition(gamma, ba.result, degenerate=True).is_zero
-        gb = compose_partition(gamma, beta, degenerate=True)
+        assert compose_partition(gamma, ba.result).is_zero
+        gb = compose_partition(gamma, beta)
         assert not gb.is_zero
-        assert compose_partition(gb.result, alpha, degenerate=True).is_zero
+        assert compose_partition(gb.result, alpha).is_zero
 
 
 class TestWalledComposition:
@@ -472,12 +485,18 @@ class TestVariantMismatch:
         signed = identity_diagram("signed", 2)
         walled = make_diagram("walled", (1, 1), (1, 1), [(b(1), t(1)), (b(2), t(2))])
         partition = identity_diagram("partition", 2)
+        planar = identity_diagram("temperley_lieb", 2)
+        degenerate = identity_diagram("degenerate", 2)
         for beta, alpha in (
             (signed, plain),
             (plain, signed),
             (partition, plain),
             (walled, plain),
             (plain, walled),
+            (plain, planar),
+            (planar, plain),
+            (partition, degenerate),
+            (degenerate, partition),
         ):
             with pytest.raises(VariantMismatch):
                 compose(beta, alpha)
@@ -489,6 +508,30 @@ class TestVariantMismatch:
             compose_partition(partition, plain)
         with pytest.raises(VariantMismatch):
             compose_fisharp(identity_diagram("fisharp", 2), plain)
+
+    # each per-variant composer refuses a class whose rule it does not
+    # implement, even when both operands share that class
+
+    def test_compose_brauer_refuses_signed(self):
+        signed = identity_diagram("signed", 2)
+        with pytest.raises(VariantMismatch):
+            compose_brauer(signed, signed)
+
+    def test_compose_partition_refuses_matchings(self):
+        plain = identity_diagram("brauer", 2)
+        with pytest.raises(VariantMismatch):
+            compose_partition(plain, plain)
+
+    def test_compose_signed_refuses_plain(self):
+        plain = identity_diagram("brauer", 2)
+        with pytest.raises(VariantMismatch):
+            compose_signed(plain, plain)
+
+    def test_epsilon_sign_refuses_plain(self):
+        with pytest.raises(VariantMismatch):
+            epsilon_sign(identity_diagram("brauer", 2))
+        with pytest.raises(VariantMismatch):
+            epsilon_sign(identity_diagram("temperley_lieb", 2))
 
 
 class TestFISharp:
@@ -520,15 +563,12 @@ class TestFISharp:
                     assert left.result == right.result
 
     def test_total_maps_via_relaxed_flag(self):
-        # the same engine composes arbitrary total functions
+        # a map that is not injective is refused; there is no relaxed
+        # representation of arbitrary total maps
         from diagcat.diagrams import PartialInjection
         from diagcat.errors import NotInjective
 
         with pytest.raises(NotInjective):
             make_diagram("fisharp", 2, 2, [(1, 1), (2, 1)])
-        collapse = PartialInjection(2, 2, [(1, 1), (2, 1)], allow_non_injective=True)
-        swap = PartialInjection(2, 2, [(1, 2), (2, 1)])
-        res = compose_fisharp(collapse, swap, allow_non_injective=True)
-        assert res.result.pairs == ((1, 1), (2, 1))
-        res2 = compose_fisharp(swap, collapse, allow_non_injective=True)
-        assert res2.result.pairs == ((1, 2), (2, 2))
+        with pytest.raises(NotInjective):
+            PartialInjection(2, 2, [(1, 1), (2, 1)])

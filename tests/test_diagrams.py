@@ -4,6 +4,7 @@ import pytest
 
 from diagcat import (
     BrauerDiagram,
+    TemperleyLiebDiagram,
     disjoint_union,
     enumerate_diagrams,
     identity_diagram,
@@ -141,6 +142,11 @@ class TestPredicates:
         assert not is_planar(swap)
         cupcap = make_diagram("brauer", 2, 2, [(b(1), b(2)), (t(1), t(2))])
         assert is_planar(cupcap)
+        # a Temperley-Lieb value is planar by construction
+        with pytest.raises(NotAMatching):
+            make_diagram("temperley_lieb", 2, 2, [(b(1), t(2)), (b(2), t(1))])
+        with pytest.raises(NotAMatching):
+            TemperleyLiebDiagram(4, 0, [(b(1), b(3)), (b(2), b(4))])
 
     def test_fisharp_flags(self):
         total = make_diagram("fisharp", 2, 3, [(1, 1), (2, 3)])
@@ -167,13 +173,24 @@ class TestCounts:
                 assert len(enumerate_diagrams("partition", n, m)) == bell(n + m)
 
     def test_temperley_lieb_counts(self):
-        for n in range(7):
-            for m in range(7):
-                if n + m > 12:
-                    continue
-                got = len(enumerate_diagrams("temperley_lieb", n, m))
-                want = catalan((n + m) // 2) if (n + m) % 2 == 0 else 0
-                assert got == want, (n, m)
+        shapes = [(n, m) for n in range(7) for m in range(7) if n + m <= 12]
+        for n, m in shapes + [(8, 8)]:
+            got = len(enumerate_diagrams("temperley_lieb", n, m))
+            want = catalan((n + m) // 2) if (n + m) % 2 == 0 else 0
+            assert got == want, (n, m)
+
+    def test_temperley_lieb_is_planar_brauer(self):
+        # the noncrossing generator against the planarity filter
+        for n in range(11):
+            for m in range(11 - n):
+                planar = [
+                    d.edges
+                    for d in enumerate_diagrams("brauer", n, m)
+                    if is_planar(d)
+                ]
+                tl = enumerate_diagrams("temperley_lieb", n, m)
+                assert [d.edges for d in tl] == planar, (n, m)
+                assert all(type(d) is TemperleyLiebDiagram for d in tl)
 
     def test_specific_counts(self):
         assert len(enumerate_diagrams("brauer", 2, 2)) == 3
@@ -204,7 +221,9 @@ class TestCounts:
             ("brauer", 2, 2),
             ("signed", 2, 2),
             ("walled", (2, 1), (2, 1)),
+            ("temperley_lieb", 2, 2),
             ("partition", 2, 2),
+            ("degenerate", 2, 2),
             ("fisharp", 2, 3),
         ],
     )
@@ -259,11 +278,14 @@ class TestTranspose:
         for variant, bot, top in [
             ("brauer", 2, 2),
             ("brauer", 1, 3),
+            ("temperley_lieb", 1, 3),
             ("partition", 2, 2),
+            ("degenerate", 1, 2),
             ("walled", (1, 1), (1, 1)),
             ("fisharp", 2, 2),
         ]:
             for d in enumerate_diagrams(variant, bot, top):
+                assert type(transpose(d)) is type(d)
                 assert transpose(transpose(d)) == d
 
     def test_three_to_five_example(self):
