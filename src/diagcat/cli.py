@@ -7,6 +7,7 @@ Exit codes: 0 success (verification subcommands: all checks passed),
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -154,7 +155,10 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: building it costs
+    far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="diagcat",
         description="exact computations in diagram categories",

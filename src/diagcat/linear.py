@@ -194,12 +194,6 @@ class HomBasis:
     def __len__(self):
         return len(self.diagrams)
 
-    def upward_diagrams(self):
-        return [d for d, u in zip(self.diagrams, self.upwards) if u]
-
-    def downward_diagrams(self):
-        return [d for d, w in zip(self.diagrams, self.downwards) if w]
-
 
 class Factorization:
     """An up-after-down splitting of a diagram through a middle object."""

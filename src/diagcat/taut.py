@@ -3,17 +3,12 @@ tensor-power bases and verify functoriality against the composition
 engine.
 
 Matrices act on pure-tensor bases ordered lexicographically with the
-first factor most significant. For the integer-parameter variants all
-entries are integers and the verification sweeps run on int64 arrays;
-the bound p**size with p <= 3 and size <= 4 keeps every intermediate
-value far below overflow. The public matrix type always carries exact
-rationals.
+first factor most significant. They are stored column-sparse with
+Python `int` or `Fraction` entries, so every product is exact and no
+entry can overflow.
 """
 
 from fractions import Fraction
-from itertools import product
-
-import numpy as np
 
 from .compose import compose
 from .diagrams import (
@@ -43,82 +38,122 @@ class TautContext:
     dim is the underlying space dimension (per color for walled, even
     for signed); the loop parameter is dim except for the planar
     variant, where it is -q - 1/q for a chosen nonzero rational q.
+
+    cap and cup are the forms a bottom-only and a top-only part
+    evaluate: dicts from the labels of the part's vertices, in order,
+    to a nonzero weight. None stands for the diagonal form, which
+    weighs every constant labelling 1 and holds for parts of any size;
+    through parts always carry it.
     """
 
-    __slots__ = ("variant", "dim", "q", "parameter", "row_budget")
+    __slots__ = ("variant", "dim", "q", "parameter", "row_budget", "cap", "cup")
 
     def __init__(self, variant, dim=None, q=None, row_budget=DEFAULT_ROW_BUDGET):
         if variant not in TAUT_VARIANTS:
             raise UnsupportedVariant(variant)
+        cap = cup = None
         if variant == "temperley_lieb":
             q = Fraction(q if q is not None else 1)
             if q == 0:
                 raise ValueError("q must be nonzero")
             dim = 2
             parameter = -q - 1 / q
+            cap = {(0, 1): -1 / q, (1, 0): 1}
+            cup = {(0, 1): 1, (1, 0): -q}
         else:
             if dim is None or dim < 0:
                 raise ValueError("dim must be a non-negative integer")
-            if variant == "signed" and dim % 2 != 0:
-                raise ValueError("the oriented variant needs even dimension")
+            if variant == "signed":
+                if dim % 2 != 0:
+                    raise ValueError("the oriented variant needs even dimension")
+                cap = cup = _form_entries(dim)
             q = None
-            parameter = Fraction(dim)
+            parameter = dim
         self.variant = variant
         self.dim = dim
         self.q = q
         self.parameter = parameter
         self.row_budget = row_budget
+        self.cap = cap
+        self.cup = cup
 
 
 class RationalMatrix:
-    """Dense exact-rational matrix, row-major."""
+    """Exact matrix stored by columns: column j is a dict from row index
+    to an `int` or `Fraction`. Absent entries are zero; a stored zero
+    (left by cancellation in a product) is equal to an absent one.
+    Columns are never modified after construction, so a product may
+    share a column with its left factor."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows, cols, entries):
+    def __init__(self, rows, cols, columns):
+        if len(columns) != cols:
+            raise ValueError(f"{len(columns)} columns given for {cols}")
         self.rows = rows
         self.cols = cols
-        self.entries = [[Fraction(v) for v in row] for row in entries]
-        assert len(self.entries) == rows
-        assert all(len(r) == cols for r in self.entries)
+        self.columns = columns
+
+    @property
+    def entries(self):
+        """Dense row-major view with `Fraction` entries."""
+        dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                dense[i][j] = Fraction(v)
+        return dense
 
     def __eq__(self, other):
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
         return (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
+            self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and all(
+                a == b or _nonzero(a) == _nonzero(b)
+                for a, b in zip(self.columns, other.columns)
+            )
         )
 
     def __matmul__(self, other):
-        assert self.cols == other.rows
-        out = [
-            [
-                sum(
-                    (self.entries[i][k] * other.entries[k][j] for k in range(self.cols)),
-                    Fraction(0),
-                )
-                for j in range(other.cols)
-            ]
-            for i in range(self.rows)
-        ]
+        if self.cols != other.rows:
+            raise ValueError(f"cannot multiply {self!r} by {other!r}")
+        left = self.columns
+        out = []
+        for col in other.columns:
+            if len(col) == 1:
+                [(k, w)] = col.items()
+                out.append(left[k] if w == 1 else {i: v * w for i, v in left[k].items()})
+                continue
+            acc = {}
+            for k, w in col.items():
+                for i, v in left[k].items():
+                    acc[i] = acc.get(i, 0) + v * w
+            out.append(acc)
         return RationalMatrix(self.rows, other.cols, out)
 
     def scaled(self, c):
-        c = Fraction(c)
+        if c == 1:
+            return self
         return RationalMatrix(
-            self.rows, self.cols, [[v * c for v in row] for row in self.entries]
+            self.rows,
+            self.cols,
+            [{i: v * c for i, v in col.items()} for col in self.columns],
         )
 
     def transposed(self):
-        return RationalMatrix(
-            self.cols,
-            self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        out = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                out[i][j] = v
+        return RationalMatrix(self.cols, self.rows, out)
 
     def __repr__(self):
         return f"<RationalMatrix {self.rows}x{self.cols}>"
+
+
+def _nonzero(col):
+    return {i: v for i, v in col.items() if v}
 
 
 def _check_budget(ctx, d):
@@ -138,84 +173,7 @@ def taut_matrix(ctx, d):
     """The exact matrix of the diagram's action on tensor powers."""
     _check_variant(ctx, d)
     _check_budget(ctx, d)
-    if ctx.variant == "temperley_lieb":
-        return _tl_matrix(ctx, d)
-    arr = _int_matrix(ctx, d)
-    return RationalMatrix(arr.shape[0], arr.shape[1], arr.tolist())
-
-
-def _index(tup, p):
-    out = 0
-    for v in tup:
-        out = out * p + v
-    return out
-
-
-def _int_matrix(ctx, d):
-    """int64 matrix for the integer-parameter variants."""
-    p = ctx.dim
-    n, m = d.n, d.m
-    arr = np.zeros((p**m, p**n), dtype=np.int64)
-    if p == 0:
-        if n == 0 and m == 0:
-            arr = np.ones((1, 1), dtype=np.int64)
-        return arr
-    if isinstance(d, PartitionDiagram):
-        _fill_partition(arr, d, p)
-    elif isinstance(d, SignedBrauerDiagram):
-        _fill_signed(arr, d, p)
-    else:
-        _fill_matching(arr, d, p)
-    return arr
-
-
-def _fill_matching(arr, d, p):
-    n, m = d.n, d.m
-    vert, bot, top = d.edge_kinds()
-    for source in product(range(p), repeat=n):
-        if any(source[a[1] - 1] != source[b[1] - 1] for a, b in bot):
-            continue
-        base = [None] * m
-        for a, b in vert:
-            bv, tv = (a, b) if a[0] == BOTTOM else (b, a)
-            base[tv[1] - 1] = source[bv[1] - 1]
-        col = _index(source, p)
-        for free in product(range(p), repeat=len(top)):
-            target = list(base)
-            for (a, b), v in zip(top, free):
-                target[a[1] - 1] = v
-                target[b[1] - 1] = v
-            arr[_index(target, p), col] = 1
-
-
-def _fill_partition(arr, d, p):
-    n, m = d.n, d.m
-    free_blocks = []
-    for source in product(range(p), repeat=n):
-        base = [None] * m
-        free_blocks = []
-        ok = True
-        for block in d.blocks:
-            bots = [v[1] - 1 for v in block if v[0] == BOTTOM]
-            tops = [v[1] - 1 for v in block if v[0] == TOP]
-            if bots:
-                val = source[bots[0]]
-                if any(source[i] != val for i in bots):
-                    ok = False
-                    break
-                for j in tops:
-                    base[j] = val
-            elif tops:
-                free_blocks.append(tops)
-        if not ok:
-            continue
-        col = _index(source, p)
-        for free in product(range(p), repeat=len(free_blocks)):
-            target = list(base)
-            for tops, v in zip(free_blocks, free):
-                for j in tops:
-                    target[j] = v
-            arr[_index(target, p), col] = 1
+    return _matrix(ctx, d)
 
 
 def _form_entries(p):
@@ -228,71 +186,48 @@ def _form_entries(p):
     return entries
 
 
-def _fill_signed(arr, d, p):
-    n, m = d.n, d.m
-    form = _form_entries(p)
-    vert, bot, top = d.edge_kinds()
-    oriented = {frozenset(a): a for a in d.arrows}
-    bot_arrows = [oriented[frozenset(e)] for e in bot]
-    top_arrows = [oriented[frozenset(e)] for e in top]
-    pairs = list(form.items())
-    for source in product(range(p), repeat=n):
-        scalar = 1
-        for tail, head in bot_arrows:
-            v = form.get((source[tail[1] - 1], source[head[1] - 1]), 0)
-            if v == 0:
-                scalar = 0
-                break
-            scalar *= v
-        if scalar == 0:
-            continue
-        base = [None] * m
-        for a, b in vert:
-            bv, tv = (a, b) if a[0] == BOTTOM else (b, a)
-            base[tv[1] - 1] = source[bv[1] - 1]
-        col = _index(source, p)
-        for choice in product(pairs, repeat=len(top_arrows)):
-            target = list(base)
-            val = scalar
-            for (tail, head), ((a, b), w) in zip(top_arrows, choice):
-                target[tail[1] - 1] = a
-                target[head[1] - 1] = b
-                val *= w
-            arr[_index(target, p), col] += val
+def _parts(d):
+    """The parts of d, each a tuple of vertices; a signed diagram's
+    horizontal edges are read tail first."""
+    if isinstance(d, PartitionDiagram):
+        return d.blocks
+    if isinstance(d, SignedBrauerDiagram):
+        return [e for e in d.edges if e[0][0] != e[1][0]] + list(d.arrows)
+    return d.edges
 
 
-def _tl_matrix(ctx, d):
-    q = ctx.q
-    n, m = d.n, d.m
-    cap = {(0, 1): -1 / q, (1, 0): Fraction(1)}
-    cup = {(0, 1): Fraction(1), (1, 0): -q}
-    vert, bot, top = d.edge_kinds()
-    entries = [[Fraction(0)] * (2**n) for _ in range(2**m)]
-    for source in product(range(2), repeat=n):
-        scalar = Fraction(1)
-        ok = True
-        for a, b in bot:
-            v = cap.get((source[a[1] - 1], source[b[1] - 1]))
-            if v is None:
-                ok = False
-                break
-            scalar *= v
-        if not ok:
-            continue
-        base = [None] * m
-        for a, b in vert:
-            bv, tv = (a, b) if a[0] == BOTTOM else (b, a)
-            base[tv[1] - 1] = source[bv[1] - 1]
-        col = _index(source, 2)
-        for choice in product(cup.items(), repeat=len(top)):
-            target = list(base)
-            val = scalar
-            for (a, b), ((x, y), w) in zip(top, choice):
-                target[a[1] - 1] = x
-                target[b[1] - 1] = y
-                val *= w
-            entries[_index(target, 2)][col] += val
-    return RationalMatrix(2**m, 2**n, entries)
+def _matrix(ctx, d):
+    """Entry (J, I) is the product over the parts of d of the weight its
+    form gives the labels that I (bottom) and J (top) put on it.
+
+    Each part's nonzero labellings are listed as (source offset, target
+    offset, weight); the parts touch disjoint tensor factors, so their
+    product lists every nonzero entry exactly once."""
+    p, n, m = ctx.dim, d.n, d.m
+    place = {(BOTTOM, i): (p ** (n - i), 0) for i in range(1, n + 1)}
+    place.update({(TOP, j): (0, p ** (m - j)) for j in range(1, m + 1)})
+    terms = [(0, 0, 1)]
+    for part in _parts(d):
+        rows = {v[0] for v in part}
+        if len(rows) == 2 or ctx.cap is None:
+            form = {(x,) * len(part): 1 for x in range(p)}
+        else:
+            form = ctx.cap if BOTTOM in rows else ctx.cup
+        choices = []
+        for labels, w in form.items():
+            s = t = 0
+            for v, x in zip(part, labels):
+                a, b = place[v]
+                s += a * x
+                t += b * x
+            choices.append((s, t, w))
+        terms = [
+            (s + s2, t + t2, w * w2) for s, t, w in terms for s2, t2, w2 in choices
+        ]
+    columns = [{} for _ in range(p**n)]
+    for s, t, w in terms:
+        columns[s][t] = w
+    return RationalMatrix(p**m, p**n, columns)
 
 
 def _objects_up_to(variant, max_size):
@@ -318,7 +253,6 @@ def verify_taut_functoriality(ctx, max_size):
             f"{ctx.dim}^{max_size} exceeds the row budget {ctx.row_budget}"
         )
     objects = _objects_up_to(ctx.variant, max_size)
-    exact = ctx.variant == "temperley_lieb"
     matrices = {}
     homs = {}
     for x in objects:
@@ -326,46 +260,27 @@ def verify_taut_functoriality(ctx, max_size):
             ds = enumerate_diagrams(ctx.variant, x, y)
             homs[(x, y)] = ds
             for d in ds:
-                matrices[d] = (
-                    _tl_matrix(ctx, d) if exact else _int_matrix(ctx, d)
-                )
+                matrices[d] = _matrix(ctx, d)
 
-    pairs = []
-    for x in objects:
-        for y in objects:
-            if not homs[(x, y)]:
-                continue
-            for z in objects:
-                if not homs[(y, z)]:
-                    continue
-                pairs.append((x, y, z))
-
+    # the same (result, sign, loop count) recurs across many pairs
+    expected = {}
     checked = 0
     failures = []
-    for x, y, z in pairs:
-        for alpha in homs[(x, y)]:
-            ma = matrices[alpha]
-            for beta in homs[(y, z)]:
-                mb = matrices[beta]
-                res = compose(beta, alpha)
-                mr = matrices[res.result]
-                checked += 1
-                if exact:
-                    lhs = mb @ ma
-                    rhs = mr.scaled(
-                        res.sign * ctx.parameter**res.closed_count
-                    )
-                    good = lhs == rhs
-                else:
-                    lhs = mb @ ma
-                    rhs = (
-                        res.sign * ctx.dim**res.closed_count
-                    ) * mr
-                    good = bool((lhs == rhs).all())
-                if not good:
-                    failures.append(
-                        (alpha.to_text(), beta.to_text())
-                    )
+    for x in objects:
+        for y in objects:
+            for z in objects:
+                for alpha in homs[(x, y)]:
+                    ma = matrices[alpha]
+                    for beta in homs[(y, z)]:
+                        res = compose(beta, alpha)
+                        key = (res.result, res.sign, res.closed_count)
+                        rhs = expected.get(key)
+                        if rhs is None:
+                            scale = res.sign * ctx.parameter**res.closed_count
+                            rhs = expected[key] = matrices[res.result].scaled(scale)
+                        if matrices[beta] @ ma != rhs:
+                            failures.append((alpha.to_text(), beta.to_text()))
+                        checked += 1
 
     return {
         "category": ctx.variant,

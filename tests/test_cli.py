@@ -279,6 +279,15 @@ class TestExitCodes:
         code, _, _ = capture(capsys, ["unknown-subcommand"])
         assert code == 2
 
+    def test_failed_parse_leaves_parser_usable(self, capsys):
+        code, _, _ = capture(capsys, ["bogus"])
+        assert code == 2
+        code, out, _ = capture(
+            capsys, ["taut", "--category", "brauer", "--dim", "3", "0->0:"]
+        )
+        assert code == 0
+        assert out == "1\n"
+
     def test_verify_failure_exit(self, capsys):
         # nothing-to-verify is a domain error
         code, _, _ = capture(capsys, ["verify"])

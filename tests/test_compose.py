@@ -424,7 +424,7 @@ class TestSignedComposition:
         import random
 
         from diagcat.diagrams import SignedBrauerDiagram
-        from diagcat.taut import TautContext, _int_matrix
+        from diagcat.taut import TautContext, taut_matrix
 
         ctx = TautContext("signed", dim=2)
         rng = random.Random(4242)
@@ -447,9 +447,9 @@ class TestSignedComposition:
                 continue
             alpha, beta = random_signed(n, m), random_signed(m, k)
             res = compose_signed(beta, alpha)
-            lhs = _int_matrix(ctx, beta) @ _int_matrix(ctx, alpha)
-            rhs = res.sign * 2**res.closed_count * _int_matrix(ctx, res.result)
-            assert (lhs == rhs).all(), (alpha, beta)
+            lhs = taut_matrix(ctx, beta) @ taut_matrix(ctx, alpha)
+            rhs = taut_matrix(ctx, res.result).scaled(res.sign * 2**res.closed_count)
+            assert lhs == rhs, (alpha, beta)
             checked += 1
 
     def test_associativity_signed(self):

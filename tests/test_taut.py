@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import diagcat
 from diagcat import enumerate_diagrams, identity_diagram, make_diagram, transpose
 from diagcat.errors import DimensionBudgetExceeded, VariantMismatch
 from diagcat.taut import (
+    RationalMatrix,
     TautContext,
     check_p2_p0_surjectivity,
     taut_matrix,
@@ -174,6 +180,28 @@ class TestTemperleyLieb:
             assert ctx.parameter == -q - 1 / q
 
 
+class TestRationalMatrix:
+    def test_cancelled_product_is_zero(self):
+        row = RationalMatrix(1, 2, [{0: 1}, {0: -1}])
+        col = RationalMatrix(2, 1, [{0: Fraction(1, 2), 1: Fraction(1, 2)}])
+        prod = row @ col
+        assert prod == RationalMatrix(1, 1, [{}])
+        assert prod != RationalMatrix(1, 1, [{0: 1}])
+        assert prod.entries == [[0]]
+
+
+class TestDimensionZero:
+    @pytest.mark.parametrize("variant", ["brauer", "partition", "signed"])
+    def test_empty_tensor_powers(self, variant):
+        ctx = TautContext(variant, dim=0)
+        assert taut_matrix(ctx, identity_diagram(variant, 0)).entries == [[1]]
+        part = [t(1), t(2)] if variant == "partition" else (t(1), t(2))
+        cup = taut_matrix(ctx, make_diagram(variant, 0, 2, [part]))
+        assert (cup.rows, cup.cols, cup.entries) == (0, 1, [])
+        rep = verify_taut_functoriality(ctx, 2)
+        assert rep["pass"], rep["failures"][:3]
+
+
 class TestFunctoriality:
     def test_brauer_small(self):
         for p in (1, 2, 3):
@@ -207,3 +235,11 @@ class TestP2P0:
         assert check_p2_p0_surjectivity(0) is False
         assert check_p2_p0_surjectivity(-2) is True
         assert check_p2_p0_surjectivity(Fraction(1, 2)) is True
+
+
+def test_import_loads_no_numpy():
+    # every module, the CLI included, runs on the standard library alone
+    src = str(Path(diagcat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, diagcat, diagcat.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
