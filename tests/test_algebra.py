@@ -151,6 +151,18 @@ class TestAlgebraTables:
                     assert G[i][j] == G[j][i]
 
 
+def cofactor_det(M):
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    acc = DeltaPoly.zero()
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
+        term = M[0][j] * cofactor_det(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
 class TestPolyDet:
     def test_constant(self):
         one = DeltaPoly.one()
@@ -169,32 +181,63 @@ class TestPolyDet:
         one = DeltaPoly.one()
         assert poly_det([[z, one], [one, z]]) == DeltaPoly(-1)
 
+    def test_zero_pivot_after_the_first_step(self):
+        one = DeltaPoly.one()
+        z = DeltaPoly.zero()
+        d = DeltaPoly([0, 1])
+        # the first step zeroes the (1, 1) pivot; row 2 is swapped in
+        M = [[one, d, z], [one, d, one], [z, one, d]]
+        assert poly_det(M) == DeltaPoly(-1) == cofactor_det(M)
+        # the first step zeroes all of column 1 below the diagonal
+        M = [[one, d, one], [one, d, DeltaPoly(2)], [one, d, DeltaPoly(3)]]
+        assert poly_det(M).is_zero()
+
     def test_against_cofactor_expansion(self):
         import random
 
         rng = random.Random(3)
-
-        def cofactor_det(M):
-            n = len(M)
-            if n == 1:
-                return M[0][0]
-            acc = DeltaPoly.zero()
-            for j in range(n):
-                minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-                term = M[0][j] * cofactor_det(minor)
-                acc = acc + (term if j % 2 == 0 else -term)
-            return acc
-
-        for _ in range(20):
-            n = rng.randint(1, 4)
+        for _ in range(40):
+            n = rng.randint(1, 5)
             M = [
                 [
-                    DeltaPoly([rng.randint(-2, 2) for _ in range(rng.randint(0, 3))])
+                    DeltaPoly(
+                        [
+                            Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3)))
+                            for _ in range(rng.randint(0, 3))
+                        ]
+                    )
                     for _ in range(n)
                 ]
                 for _ in range(n)
             ]
             assert poly_det(M) == cofactor_det(M)
+
+    def test_against_sympy(self):
+        import random
+
+        import sympy
+        from sympy.polys.matrices import DomainMatrix
+
+        rng = random.Random(11)
+        d = sympy.Symbol("d")
+        ring = sympy.QQ[d]
+        M = [
+            [
+                DeltaPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)])
+                for _ in range(6)
+            ]
+            for _ in range(6)
+        ]
+        entries = [
+            [sum(sympy.Rational(c.numerator, c.denominator) * d**i
+                 for i, c in enumerate(p.coeffs)) for p in row]
+            for row in M
+        ]
+        oracle = DomainMatrix.from_Matrix(sympy.Matrix(entries)).convert_to(ring).det()
+        coeffs = sympy.Poly(ring.to_sympy(oracle), d).all_coeffs()[::-1]
+        want = DeltaPoly([Fraction(int(c.p), int(c.q)) for c in coeffs])
+        assert want.degree == 12
+        assert poly_det(M) == want
 
 
 class TestDiscriminant:

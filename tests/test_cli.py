@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -218,6 +219,26 @@ class TestCommands:
         assert code == 0 and out == "false\n"
         code, out, _ = capture(capsys, ["semisimple", "--discriminant", "--n", "2"])
         assert code == 0 and out == "4*d^2\n"
+
+    def test_semisimple_refuses_an_oversize_discriminant(self, capsys):
+        # brauer n=4 has 105 basis diagrams; its determinant does not finish
+        argv = ["semisimple", "--category", "brauer", "--n", "4", "--delta", "1"]
+        start = time.perf_counter()
+        code, out, err = capture(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err == "error: 105 basis diagrams exceed the budget 42\n"
+        code, out, err = capture(capsys, argv + ["--json"])
+        assert code == 1
+        assert json.loads(err)["error"] == "dimension_budget_exceeded"
+
+    def test_semisimple_temperley_lieb_five_roots(self, capsys):
+        # of the values 2cos(pi k / m), m <= 5, at which TL_5 is not
+        # semisimple, only -1 and 1 are rational (0 is not: 5 is odd)
+        argv = ["semisimple", "--category", "temperley_lieb", "--n", "5", "--roots", "--json"]
+        code, out, _ = capture(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["rational_roots"] == ["-1", "1"]
 
     def test_verify_axioms(self, capsys):
         code, out, _ = capture(

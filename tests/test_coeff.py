@@ -1,7 +1,11 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagcat.coeff import DeltaPoly, rational_roots
 
@@ -67,12 +71,89 @@ def test_text_form():
     assert str(DeltaPoly([0, 1])) == "1*d"
 
 
+def product(*factors):
+    out = DeltaPoly.one()
+    for f in factors:
+        out = out * DeltaPoly(f)
+    return out
+
+
 def test_rational_roots():
     # d * (d - 2) * (2d + 1)
     p = DeltaPoly([0, 1]) * DeltaPoly([-2, 1]) * DeltaPoly([1, 2])
     assert rational_roots(p) == [Fraction(-1, 2), Fraction(0), Fraction(2)]
     assert rational_roots(DeltaPoly([1, 0, 1])) == []
+    assert rational_roots(DeltaPoly([-2, 0, 1])) == []
     assert rational_roots(DeltaPoly([5])) == []
+    assert rational_roots(DeltaPoly([Fraction(-2, 3)])) == []
+    # Fraction coefficients: (d/2 - 1/3)(d + 3/4)
+    p = product([Fraction(-1, 3), Fraction(1, 2)], [Fraction(3, 4), 1])
+    assert rational_roots(p) == [Fraction(-3, 4), Fraction(2, 3)]
+    # negative leading coefficient: -3 (d - 2)(d + 1/2)
+    p = product([-3], [-2, 1], [Fraction(1, 2), 1])
+    assert rational_roots(p) == [Fraction(-1, 2), Fraction(2)]
+    # repeated roots: d^3 (d - 1)^4 (d + 2)^2
+    p = product([0, 0, 0, 1], *[[-1, 1]] * 4, [2, 1], [2, 1])
+    assert rational_roots(p) == [Fraction(-2), Fraction(0), Fraction(1)]
+    # the Sturm sequence of d^4 + d - 2 = (d - 1)(d^3 + d^2 + d + 2) drops
+    # from degree 3 to 1, so the pseudo-remainder's sign must be undone
+    assert rational_roots(DeltaPoly([-2, 1, 0, 0, 1])) == [Fraction(1)]
+    assert rational_roots(DeltaPoly([-18, 1, 0, 0, 1])) == [Fraction(2)]
+    # dyadic roots land on the bisection points
+    p = product([-1, 1], [-2, 1], [-4, 1], [1, 2], [-1, 4], [8, 1])
+    assert rational_roots(p) == [
+        Fraction(-8), Fraction(-1, 2), Fraction(1, 4), Fraction(1), Fraction(2), Fraction(4)
+    ]
+    with pytest.raises(ValueError):
+        rational_roots(DeltaPoly.zero())
+
+
+def test_rational_roots_of_a_huge_constant_term():
+    # (d^2 - 10^30)(d - 1)^3 (2d + 3)(5d - 7/3): trial division up to the
+    # square root of the constant term would take about 10^15 steps
+    p = product([-10**30, 0, 1], [-1, 1], [-1, 1], [-1, 1], [3, 2], [Fraction(-7, 3), 5])
+    start = time.perf_counter()
+    roots = rational_roots(p)
+    assert time.perf_counter() - start < 1.0
+    assert roots == [
+        Fraction(-10**15), Fraction(-3, 2), Fraction(7, 15), Fraction(1), Fraction(10**15)
+    ]
+
+
+def _is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+# p*d - q, and a*d^2 + b*d + c irreducible over the rationals
+LINEAR = st.tuples(st.integers(1, 12), st.integers(-40, 40))
+QUADRATIC = st.tuples(st.integers(1, 6), st.integers(-12, 12), st.integers(-12, 12)).filter(
+    lambda t: not _is_square(t[1] ** 2 - 4 * t[0] * t[2])
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    st.lists(LINEAR, max_size=6),
+    st.lists(QUADRATIC, max_size=3),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+)
+def test_rational_roots_against_sympy(linears, quadratics, scale):
+    import sympy
+
+    factors = [[-q, p] for p, q in linears] + [[c, b, a] for a, b, c in quadratics]
+    poly = product([scale], *factors)
+    d = sympy.Symbol("d")
+    oracle = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly.coeffs)], d
+    )
+    _, irreducibles = oracle.factor_list()
+    want = set()
+    for f, _ in irreducibles:
+        if f.degree() == 1:
+            lead, const = f.all_coeffs()
+            root = -const / lead
+            want.add(Fraction(int(root.p), int(root.q)))
+    assert rational_roots(poly) == sorted(want)
 
 
 def test_delta_power():
