@@ -144,9 +144,13 @@ def discriminant(variant, n):
     """Determinant of the trace form of the regular representation.
 
     An algebra of more than DISCRIMINANT_BASIS_BUDGET basis diagrams is
-    refused with DimensionBudgetExceeded before its table is built.
+    refused with DimensionBudgetExceeded before its Gram matrix is built.
     """
-    algebra = build_algebra(variant, n, max_basis=DISCRIMINANT_BASIS_BUDGET)
+    algebra = build_algebra(variant, n)
+    if algebra.dimension > DISCRIMINANT_BASIS_BUDGET:
+        raise DimensionBudgetExceeded(
+            f"{algebra.dimension} basis diagrams exceed the budget {DISCRIMINANT_BASIS_BUDGET}"
+        )
     return poly_det(algebra.gram_matrix())
 
 

@@ -375,6 +375,7 @@ def rational_roots(poly):
         f = int_exact_div(f, _gcd(f, _derivative(f)))
         for lo, hi in _root_intervals(f):
             cand = _simplest_between(lo, hi)
-            if poly.evaluate(cand) == 0:
+            # f(0) != 0, so a candidate 0 is never a root of f
+            if cand and poly.evaluate(cand) == 0:
                 roots.append(cand)
     return sorted(roots)

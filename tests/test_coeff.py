@@ -104,6 +104,11 @@ def test_rational_roots():
     assert rational_roots(p) == [
         Fraction(-8), Fraction(-1, 2), Fraction(1, 4), Fraction(1), Fraction(2), Fraction(4)
     ]
+    # d (d^2 + 10d - 1) and d (d^2 - 10d - 1): an irrational root within
+    # 1/10 of 0 is isolated next to the bisection point 0, whose simplest
+    # rational is 0 again; the root 0 is still reported once
+    assert rational_roots(DeltaPoly([0, -1, 10, 1])) == [Fraction(0)]
+    assert rational_roots(DeltaPoly([0, -1, -10, 1])) == [Fraction(0)]
     with pytest.raises(ValueError):
         rational_roots(DeltaPoly.zero())
 
