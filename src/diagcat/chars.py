@@ -261,15 +261,11 @@ def delta_multiplicity(lam, mu):
 
 
 def ptilde_standard_multiplicity(lam, mu):
-    """Standard-filtration multiplicity in the weight-lam projective."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    diff = sum(lam) - sum(mu)
-    if diff < 0 or diff % 2 != 0:
-        return 0
-    return sum(
-        lr_coefficient(mu, doubled(nu), lam) for nu in partitions_of(diff // 2)
-    )
+    """Standard-filtration multiplicity in the weight-lam projective.
+
+    By reciprocity it is the weight-lam multiplicity of the standard
+    object at lowest weight mu."""
+    return delta_multiplicity(mu, lam)
 
 
 def hyperoctahedral_elements(k):
@@ -398,13 +394,3 @@ def verify_principal_decomposition(n, m):
         if lhs != rhs:
             ok = False
     return {"source": n, "target": m, "pass": ok, "per_weight": details}
-
-
-def multiplicity_table(kind, lam, weights):
-    """Table of multiplicities for the given weights; kind selects the
-    standard-object or projective-object formula."""
-    fn = {
-        "delta": delta_multiplicity,
-        "ptilde": ptilde_standard_multiplicity,
-    }[kind]
-    return {mu: fn(lam, mu) for mu in weights}

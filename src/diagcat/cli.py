@@ -20,7 +20,6 @@ from .algebra import (
 from .chars import (
     delta_multiplicity,
     dim_specht,
-    multiplicity_table,
     parse_partition,
     partition_key,
     partitions_of,
@@ -328,8 +327,8 @@ def _cmd_mult(args):
         }
         _emit(args, [str(value)], obj)
     else:
-        table = multiplicity_table(kind, lam, partitions_of(args.weights_size))
-        entries = {partition_key(mu): v for mu, v in table.items()}
+        weights = partitions_of(args.weights_size)
+        entries = {partition_key(mu): fn(lam, mu) for mu in weights}
         obj = {"module": f"{kind}({partition_key(lam)})", "entries": entries}
         _emit(args, [f"{k}: {v}" for k, v in sorted(entries.items())], obj)
     return 0

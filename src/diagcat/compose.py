@@ -67,23 +67,23 @@ def _check(beta, alpha, accepts):
         )
 
 
-def _glue(beta, alpha, parts, accepts):
+def _glue(beta, alpha, accepts):
     """Stack alpha under beta and merge their parts through the middle.
 
-    `parts` names the field holding the parts: a matching's edges or a
-    partition's blocks; `labels()` names the part at each vertex. Every
-    middle vertex lies in one part of alpha and one part of beta; a
-    union-find over the parts (alpha's labels first, then beta's) joins
-    that pair at each middle vertex. Outer vertices are then collected
-    by scanning b1..bn and t1..tp, which yields the blocks already in
-    canonical order; for matchings they are the sorted edges. Returns
+    The parts are a matching's edges or a partition's blocks, and
+    `labels()` names the part at each vertex. Every middle vertex lies
+    in one part of alpha and one part of beta; a union-find over the
+    parts (alpha's labels first, then beta's) joins that pair at each
+    middle vertex. Outer vertices are then collected by scanning
+    b1..bn and t1..tp, which yields the blocks already in canonical
+    order; for matchings they are the sorted edges. Returns
     (closed, blocks, cyclic): the merged components without an outer
     vertex, the outer blocks, and whether some middle vertex joined
     two parts that were already connected. Operands are checked
     against `accepts` first.
     """
     _check(beta, alpha, accepts)
-    na, nb = len(getattr(alpha, parts)), len(getattr(beta, parts))
+    na, nb = len(alpha.parts), len(beta.parts)
     n, mid = alpha.n, alpha.m
     a_labels, b_labels = alpha.labels(), beta.labels()
 
@@ -119,7 +119,7 @@ def _glue(beta, alpha, parts, accepts):
 
 def compose_brauer(beta, alpha):
     """beta after alpha in the matching family (plain, walled, planar)."""
-    closed, edges, _ = _glue(beta, alpha, "edges", _MATCHINGS)
+    closed, edges, _ = _glue(beta, alpha, _MATCHINGS)
     result = type(alpha)._trusted(alpha.bottom, beta.top, edges)
     return CompositionResult(closed, result)
 
@@ -131,7 +131,7 @@ def compose_partition(beta, alpha):
     operands, sends the product to zero when the blocks of alpha and
     beta, joined at the middle vertices, contain a cycle.
     """
-    closed, blocks, cyclic = _glue(beta, alpha, "blocks", _PARTITIONS)
+    closed, blocks, cyclic = _glue(beta, alpha, _PARTITIONS)
     result = type(alpha)._trusted(alpha.n, beta.m, blocks)
     zero = cyclic and type(alpha) is DegeneratePartitionDiagram
     return CompositionResult(closed, result, is_zero=zero)
@@ -146,7 +146,7 @@ def compose_signed(beta, alpha):
     eps(beta) o eps(alpha) at -d, so
     sign = eps(alpha) * eps(beta) * eps(result) * (-1)**closed.
     """
-    closed, edges, _ = _glue(beta, alpha, "edges", (SignedBrauerDiagram,))
+    closed, edges, _ = _glue(beta, alpha, (SignedBrauerDiagram,))
     # in the reference orientation bottom arrows point right, top ones left
     arrows = sorted(
         (x, y) if x[0] == BOTTOM else (y, x) for x, y in edges if x[0] == y[0]

@@ -49,7 +49,7 @@ class Diagram:
     once from them, and `sort_key()` and `<` order by them.
     """
 
-    __slots__ = ("n", "m", "_hash")
+    __slots__ = ("n", "m", "_hash", "_labels")
     _fields = ()
 
     def __init_subclass__(cls):
@@ -76,6 +76,25 @@ class Diagram:
 
     bottom = property(attrgetter("n"))
     top = property(attrgetter("m"))
+
+    def labels(self):
+        """Index in `parts` of the part holding each vertex, in the order
+        b1..bn, t1..tm; computed once and kept on the value.
+
+        Parts are numbered in canonical order, so for a partition this
+        is its restricted-growth string.
+        """
+        try:
+            return self._labels
+        except AttributeError:
+            n = self.n
+            labels = [0] * (n + self.m)
+            for label, part in enumerate(self.parts):
+                for row, i in part:
+                    labels[i - 1 if row == BOTTOM else n + i - 1] = label
+            labels = tuple(labels)
+            object.__setattr__(self, "_labels", labels)
+            return labels
 
     def sort_key(self):
         return self._key(self)
@@ -119,28 +138,20 @@ def _matching_edges(n, m, edges):
 
 
 class BrauerDiagram(Diagram):
-    """Perfect matching on the disjoint union of a bottom and a top row."""
+    """Perfect matching on the disjoint union of a bottom and a top row.
+
+    Its parts are its edges: a canonical edge is laid out like a
+    canonical two-element block, so the structural routines read
+    matchings and partitions alike.
+    """
 
     variant = "brauer"
-    __slots__ = ("edges", "_labels")
-    _fields = ("n", "m", "edges")
+    __slots__ = ("parts",)
+    _fields = ("n", "m", "parts")
+    edges = property(attrgetter("parts"))
 
     def __init__(self, n, m, edges):
         super().__init__(n, m, _matching_edges(n, m, edges))
-
-    def labels(self):
-        """Edge index of each vertex, in the order b1..bn, t1..tm."""
-        return _part_labels(self, self.edges)
-
-    def edge_kinds(self):
-        """(vertical, bottom horizontal, top horizontal) edge tuples."""
-        vert, bot, top = [], [], []
-        for a, b in self.edges:
-            if a[0] == b[0]:
-                (bot if a[0] == BOTTOM else top).append((a, b))
-            else:
-                vert.append((a, b))
-        return vert, bot, top
 
     def to_text(self):
         body = "".join(
@@ -170,22 +181,6 @@ class TemperleyLiebDiagram(BrauerDiagram):
             raise NotAMatching("diagram is not planar")
 
 
-def _part_labels(d, parts):
-    """Index in `parts` of the part holding each vertex of d, in the
-    order b1..bn, t1..tm; computed once and kept on the value."""
-    try:
-        return d._labels
-    except AttributeError:
-        n = d.n
-        labels = [0] * (n + d.m)
-        for label, part in enumerate(parts):
-            for row, i in part:
-                labels[i - 1 if row == BOTTOM else n + i - 1] = label
-        labels = tuple(labels)
-        object.__setattr__(d, "_labels", labels)
-        return labels
-
-
 def _first_missing(seen, n, m):
     for i in range(1, n + 1):
         if (BOTTOM, i) not in seen:
@@ -213,17 +208,16 @@ class SignedBrauerDiagram(BrauerDiagram):
 
     variant = "signed"
     __slots__ = ("arrows", "_epsilon")
-    _fields = ("n", "m", "edges", "arrows")
+    _fields = ("n", "m", "parts", "arrows")
 
     def __init__(self, n, m, edges, arrows=None):
         super().__init__(n, m, edges)
-        _, bot, top = self.edge_kinds()
-        horizontal = {frozenset(e) for e in bot + top}
+        horizontal = [e for e in self.parts if e[0][0] == e[1][0]]
         if arrows is None:
-            arrows = [canonical_arrow(e, n, m) for e in bot + top]
+            arrows = [canonical_arrow(e, n, m) for e in horizontal]
         arrows = tuple(sorted(tuple(a) for a in arrows))
-        if {frozenset(a) for a in arrows} != horizontal or len(arrows) != len(
-            horizontal
+        if len(arrows) != len(horizontal) or set(map(frozenset, arrows)) != set(
+            map(frozenset, horizontal)
         ):
             raise NotAMatching("arrows must orient exactly the horizontal edges")
         object.__setattr__(self, "arrows", arrows)
@@ -292,7 +286,7 @@ class WalledBrauerDiagram(BrauerDiagram):
 
     variant = "walled"
     __slots__ = ("bottom_colors", "top_colors")
-    _fields = ("bottom_colors", "top_colors", "edges")
+    _fields = ("bottom_colors", "top_colors", "parts")
 
     # the row sizes follow from the color counts
     n = property(lambda self: sum(self.bottom_colors))
@@ -346,11 +340,13 @@ class WalledBrauerDiagram(BrauerDiagram):
 
 
 class PartitionDiagram(Diagram):
-    """Set partition of the bottom and top rows into nonempty blocks."""
+    """Set partition of the bottom and top rows into nonempty blocks,
+    which are its parts."""
 
     variant = "partition"
-    __slots__ = ("blocks", "_labels")
-    _fields = ("n", "m", "blocks")
+    __slots__ = ("parts",)
+    _fields = ("n", "m", "parts")
+    blocks = property(attrgetter("parts"))
 
     def __init__(self, n, m, blocks):
         blocks = tuple(
@@ -370,14 +366,6 @@ class PartitionDiagram(Diagram):
         if len(seen) != n + m:
             raise NotAPartition("blocks do not cover all vertices")
         super().__init__(n, m, blocks)
-
-    def labels(self):
-        """Block index of each vertex, in the order b1..bn, t1..tm.
-
-        Blocks are numbered in canonical order, so this is the
-        restricted-growth string of the partition.
-        """
-        return _part_labels(self, self.blocks)
 
     def to_text(self):
         body = "".join(
@@ -483,15 +471,17 @@ def _through_from(d, row):
     """No part meets `row` twice or lies in `row` entirely."""
     if isinstance(d, PartialInjection):
         return len(d.pairs) == (d.n if row == BOTTOM else d.m)
-    if isinstance(d, PartitionDiagram):
-        for part in d.blocks:
-            k = sum(1 for v in part if v[0] == row)
-            if k > 1 or k == len(part):
+    # parts list their bottom vertices first, so a part meets the bottom
+    # row twice or lies in it entirely exactly when its second vertex (or
+    # its only one) is a bottom vertex; the top row is read from the end
+    if row == BOTTOM:
+        for part in d.parts:
+            if part[:2][-1][0] == BOTTOM:
                 return False
-        return True
-    for a, b in d.edges:
-        if a[0] == b[0] == row:
-            return False
+    else:
+        for part in d.parts:
+            if part[-2:][0][0] == TOP:
+                return False
     return True
 
 
@@ -511,13 +501,9 @@ def transpose(d):
         raise UnsupportedVariant("transpose of signed diagrams is not defined")
     if isinstance(d, PartialInjection):
         return PartialInjection(d.m, d.n, [(b, a) for a, b in d.pairs])
-    if isinstance(d, PartitionDiagram):
-        blocks = [tuple(sorted([(1 - row, i) for row, i in b])) for b in d.blocks]
-        return type(d)._trusted(d.m, d.n, tuple(sorted(blocks)))
-    flip = lambda v: (1 - v[0], v[1])
-    edges = tuple(sorted(_canon_edge((flip(a), flip(b))) for a, b in d.edges))
+    parts = sorted([tuple(sorted([(1 - row, i) for row, i in p])) for p in d.parts])
     # the fields of a walled value start with the colorings, not the sizes
-    return type(d)._trusted(d.top, d.bottom, edges)
+    return type(d)._trusted(d.top, d.bottom, tuple(parts))
 
 
 def disjoint_union(d1, d2):
@@ -531,27 +517,18 @@ def disjoint_union(d1, d2):
     if isinstance(d1, PartialInjection):
         pairs = list(d1.pairs) + [(a + d1.n, b + d1.m) for a, b in d2.pairs]
         return PartialInjection(d1.n + d2.n, d1.m + d2.m, pairs)
-    shift = lambda v: (v[0], v[1] + (d1.n if v[0] == BOTTOM else d1.m))
-    if isinstance(d1, PartitionDiagram):
-        # shifting keeps each block of d2 sorted, so only the order of
-        # the blocks has to be restored
-        n, m = d1.n, d1.m
-        blocks = list(d1.blocks)
-        blocks += [
-            tuple([(row, i + (n if row == BOTTOM else m)) for row, i in b])
-            for b in d2.blocks
-        ]
-        blocks.sort()
-        return type(d1)._trusted(n + d2.n, m + d2.m, tuple(blocks))
-    edges = list(d1.edges) + [(shift(a), shift(b)) for a, b in d2.edges]
+    n, m = d1.n, d1.m
+
+    def shift(part):
+        return tuple([(row, i + (n if row == BOTTOM else m)) for row, i in part])
+
+    # shifting keeps each part of d2 sorted, so only the order of the
+    # parts has to be restored
+    parts = tuple(sorted(d1.parts + tuple(map(shift, d2.parts))))
     if isinstance(d1, SignedBrauerDiagram):
-        arrows = list(d1.arrows) + [
-            (shift(a), shift(b)) for a, b in d2.arrows
-        ]
-        return SignedBrauerDiagram._trusted(
-            d1.n + d2.n, d1.m + d2.m, tuple(sorted(edges)), tuple(sorted(arrows))
-        )
-    return type(d1)._trusted(d1.n + d2.n, d1.m + d2.m, tuple(sorted(edges)))
+        arrows = tuple(sorted(d1.arrows + tuple(map(shift, d2.arrows))))
+        return SignedBrauerDiagram._trusted(n + d2.n, m + d2.m, parts, arrows)
+    return type(d1)._trusted(n + d2.n, m + d2.m, parts)
 
 
 def _walled_union(d1, d2):

@@ -215,56 +215,36 @@ class Factorization:
 def factorize(d):
     """Split d as (upwards) o (downwards) with no closed loops.
 
-    The middle object collects the through-structure: vertical edges
-    for the matching family, blocks meeting both rows for partitions.
-    The bijection onto the middle object is the order-preserving one,
-    which picks a deterministic representative of the orbit.
+    Every part is cut into its bottom and its top half. A part meeting
+    both rows is a through part: its halves are joined through the
+    k-th vertex of the middle object, counting through parts in
+    canonical order. That is the order-preserving bijection onto the
+    middle object, which picks a deterministic representative of the
+    orbit.
     """
     if isinstance(d, SignedBrauerDiagram):
         raise UnsupportedVariant("factorization of signed diagrams is out of scope")
-    if isinstance(d, PartitionDiagram):
-        return _factorize_partition(d)
-    if isinstance(d, BrauerDiagram):
-        return _factorize_matching(d)
-    raise UnsupportedVariant(f"cannot factorize {type(d).__name__}")
-
-
-def _factorize_matching(d):
-    vert, bot, top = d.edge_kinds()
-    # a canonical vertical edge lists its bottom end first, and the edges
-    # are sorted, so vert runs in the order of the bottom ends; on a
-    # walled row that puts every color-1 edge before every color-2 one
-    middle = len(vert)
+    if not isinstance(d, (BrauerDiagram, PartitionDiagram)):
+        raise UnsupportedVariant(f"cannot factorize {type(d).__name__}")
+    down, up, through = [], [], []
+    for part in d.parts:
+        bot = tuple([v for v in part if v[0] == BOTTOM])
+        top = part[len(bot):]
+        if bot and top:
+            through.append(bot)
+            k = len(through)
+            down.append(bot + ((TOP, k),))
+            up.append(((BOTTOM, k),) + top)
+        else:
+            (down if bot else up).append(part)
+    middle = len(through)
     if isinstance(d, WalledBrauerDiagram):
-        p1 = sum(1 for a, _ in vert if d.color(a) == 1)
+        # through edges run in the order of their bottom ends, which on a
+        # walled row puts every color-1 edge before every color-2 one
+        p1 = sum(1 for (a,) in through if d.color(a) == 1)
         middle = (p1, middle - p1)
-    down = bot + [(a, (TOP, k)) for k, (a, _) in enumerate(vert, 1)]
-    up = top + [((BOTTOM, k), b) for k, (_, b) in enumerate(vert, 1)]
     cls = type(d)
     return Factorization(middle, cls(d.bottom, middle, down), cls(middle, d.top, up))
-
-
-def _factorize_partition(d):
-    through = [b for b in d.blocks if _meets_both(b)]
-    p = len(through)
-    down_blocks = [b for b in d.blocks if all(v[0] == BOTTOM for v in b)]
-    up_blocks = [b for b in d.blocks if all(v[0] == TOP for v in b)]
-    for k, b in enumerate(through, start=1):
-        down_blocks.append(
-            tuple(v for v in b if v[0] == BOTTOM) + ((TOP, k),)
-        )
-        up_blocks.append(
-            ((BOTTOM, k),) + tuple(v for v in b if v[0] == TOP)
-        )
-    down = type(d)(d.n, p, down_blocks)
-    up = type(d)(p, d.m, up_blocks)
-    return Factorization(p, down, up)
-
-
-def _meets_both(block):
-    has_bot = any(v[0] == BOTTOM for v in block)
-    has_top = any(v[0] == TOP for v in block)
-    return has_bot and has_top
 
 
 _AXIOM_VARIANTS = ("brauer", "partition", "temperley_lieb")
@@ -423,9 +403,4 @@ def check_triangular_axioms(variant, max_size):
 
 
 def _is_bijection_diagram(d):
-    if isinstance(d, PartitionDiagram):
-        return all(
-            len(b) == 2 and {v[0] for v in b} == {BOTTOM, TOP} for b in d.blocks
-        )
-    vert, bot, top = d.edge_kinds()
-    return not bot and not top
+    return all(len(p) == 2 and p[0][0] != p[1][0] for p in d.parts)

@@ -5,7 +5,9 @@ import pytest
 from diagcat import (
     DeltaPoly,
     Morphism,
+    PartitionDiagram,
     check_triangular_axioms,
+    disjoint_union,
     enumerate_diagrams,
     factorize,
     identity_diagram,
@@ -15,6 +17,7 @@ from diagcat import (
     morphism_compose,
     morphism_tensor,
     morphism_transpose,
+    transpose,
     verify_t3,
 )
 from diagcat.compose import compose
@@ -173,6 +176,72 @@ class TestFactorize:
                     res = compose(fac.up, fac.down)
                     assert res.closed_count == 0 and not res.is_zero
                     assert res.result == d
+
+
+def as_partition(d):
+    """The partition diagram reading each edge of d as a two-element block."""
+    return PartitionDiagram(d.n, d.m, d.edges)
+
+
+def walled_positions(c1, c2):
+    """Where each vertex of the plain row c1 + c2 lands in the walled
+    tensor row, which puts the color-1 vertices of both factors first."""
+    (a1, a2), (b1, b2) = c1, c2
+    plain = [range(1, a1 + 1), range(a1 + a2 + 1, a1 + a2 + b1 + 1),
+             range(a1 + 1, a1 + a2 + 1), range(a1 + a2 + b1 + 1, a1 + a2 + b1 + b2 + 1)]
+    return {i: k for k, i in enumerate((i for r in plain for i in r), 1)}
+
+
+class TestMatchingsArePartitions:
+    def test_edges_as_blocks_commute_with_structure(self):
+        """Reading every edge as a two-element block embeds each
+        matching family in the partition family: compose, transpose,
+        disjoint union, the up/down predicates, the labels and the
+        factorization all commute with it."""
+        families = {
+            "brauer": range(4),
+            "temperley_lieb": range(4),
+            "walled": [(a, b) for a in range(3) for b in range(3)],
+        }
+        for variant, objects in families.items():
+            homs = {
+                (x, y): enumerate_diagrams(variant, x, y)
+                for x in objects
+                for y in objects
+            }
+            every = [d for ds in homs.values() for d in ds]
+            for d in every:
+                p = as_partition(d)
+                assert as_partition(transpose(d)) == transpose(p), d
+                assert is_upwards(d) == is_upwards(p), d
+                assert is_downwards(d) == is_downwards(p), d
+                assert d.labels() == p.labels(), d
+                fm, fp = factorize(d), factorize(p)
+                assert as_partition(fm.down) == fp.down, d
+                assert as_partition(fm.up) == fp.up, d
+                total = sum(fm.middle) if variant == "walled" else fm.middle
+                assert total == fp.middle, d
+            for (x, y), alphas in homs.items():
+                for z in objects:
+                    for alpha in alphas:
+                        for beta in homs[(y, z)]:
+                            res = compose(beta, alpha)
+                            want = compose(as_partition(beta), as_partition(alpha))
+                            assert as_partition(res.result) == want.result
+                            assert res.closed_count == want.closed_count
+            for d1 in every:
+                for d2 in every:
+                    union = as_partition(disjoint_union(d1, d2))
+                    want = disjoint_union(as_partition(d1), as_partition(d2))
+                    if variant == "walled":
+                        bot = walled_positions(d1.bottom, d2.bottom)
+                        top = walled_positions(d1.top, d2.top)
+                        where = (bot, top)
+                        want = PartitionDiagram(want.n, want.m, [
+                            [(row, where[row][i]) for row, i in block]
+                            for block in want.blocks
+                        ])
+                    assert union == want, (d1, d2)
 
 
 class TestVerifyT3:
