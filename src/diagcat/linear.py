@@ -228,6 +228,7 @@ def factorize(d):
         raise UnsupportedVariant(f"cannot factorize {type(d).__name__}")
     down, up, through = [], [], []
     for part in d.parts:
+        # a part lists its bottom vertices first
         bot = tuple([v for v in part if v[0] == BOTTOM])
         top = part[len(bot):]
         if bot and top:
