@@ -1,15 +1,16 @@
 """Integer-partition combinatorics and symmetric-group characters.
 
 Everything here is exact: hook-length dimensions, Murnaghan-Nakayama
-character values, Littlewood-Richardson coefficients by tableau
-enumeration, and the restriction-multiplicity formulas expressed as
-sums of LR coefficients at doubled partitions, together with the
+character values, Littlewood-Richardson coefficients read off one
+product expansion per pair of factors (the second factor's rows are
+added one horizontal strip at a time, kept while the reading word is
+a lattice word), and the restriction-multiplicity formulas expressed
+as sums of LR coefficients at doubled partitions, together with the
 induced-character machinery used to cross-check them.
 """
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, zip_longest
 from math import factorial
 
 from .errors import SizeMismatch
@@ -30,12 +31,21 @@ def parse_partition(text):
 
 def check_partition(parts):
     """Normalize to a weakly decreasing tuple of positive integers."""
-    parts = tuple(int(p) for p in parts if p != 0)
-    if any(p < 0 for p in parts):
-        raise ValueError(f"negative part in {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    out = []
+    rising = False
+    for p in parts:
+        if p != 0:
+            p = int(p)
+            if out and p > out[-1]:
+                rising = True
+            out.append(p)
+    # without a rise the smallest part is the last one
+    if rising or (out and out[-1] < 0):
+        parts = tuple(out)
+        if min(parts) < 0:
+            raise ValueError(f"negative part in {parts}")
         raise ValueError(f"parts must be weakly decreasing: {parts}")
-    return parts
+    return tuple(out)
 
 
 def partitions_of(n):
@@ -175,76 +185,51 @@ def class_size(mu):
 def lr_coefficient(lam, mu, target):
     """Littlewood-Richardson coefficient of target in lam * mu.
 
-    Counts semistandard skew tableaux of shape target/lam with content
-    mu whose reverse reading word is a lattice word. Returns 0 whenever
-    the sizes or containment fail. Results are memoized on the
-    normalized partitions.
+    Returns 0 whenever the sizes or containment fail. The whole product
+    is expanded once per normalized (lam, mu) and memoized.
     """
-    return _lr_count(
-        check_partition(lam), check_partition(mu), check_partition(target)
+    return _lr_product(check_partition(lam), check_partition(mu)).get(
+        check_partition(target), 0
     )
 
 
 @lru_cache(maxsize=None)
-def _lr_count(lam, mu, target):
-    if sum(lam) + sum(mu) != sum(target):
-        return 0
-    if len(lam) > len(target):
-        return 0
-    lam_padded = lam + (0,) * (len(target) - len(lam))
-    if any(lam_padded[i] > target[i] for i in range(len(target))):
-        return 0
-    if not mu:
-        return 1
-    rows = len(target)
-    fill = [[0] * (target[i] - lam_padded[i]) for i in range(rows)]
-    counts = [0] * (len(mu) + 1)
+def _lr_product(lam, mu):
+    """{nu: c} with s_lam * s_mu = sum of c * s_nu, never to be modified.
 
-    def cell_value_ok(i, j, v):
-        col = lam_padded[i] + j
-        if j > 0 and fill[i][j - 1] > v:
-            return False
-        if i > 0:
-            above_row = i - 1
-            above_j = col - lam_padded[above_row]
-            if 0 <= above_j < len(fill[above_row]) and fill[above_row][above_j] >= v:
-                return False
-        return True
-
-    total = 0
-
-    def place(i, j):
-        nonlocal total
-        if i == rows:
-            if _is_lattice(fill, len(mu)):
-                total += 1
-            return
-        if j == len(fill[i]):
-            place(i + 1, 0)
-            return
-        for v in range(1, len(mu) + 1):
-            if counts[v] == mu[v - 1]:
-                continue
-            if not cell_value_ok(i, j, v):
-                continue
-            fill[i][j] = v
-            counts[v] += 1
-            place(i, j + 1)
-            counts[v] -= 1
-            fill[i][j] = 0
-
-    place(0, 0)
-    return total
+    Row k of mu is added to lam as a horizontal strip of label k, kept
+    only while the reading word is a lattice word: for every row r, the
+    label-k cells in rows <= r are at most the label-(k-1) cells in rows
+    < r. Partial tableaux with the same shape and last strip are merged.
+    """
+    states = {(lam, ()): 1}
+    for size in mu:
+        grown = {}
+        for (shape, prev), count in states.items():
+            # label 1 is unbounded; a later label may not enter row 1
+            for strip in _strips(shape, size, prev, 0 if prev else size):
+                new = zip_longest(shape, strip, fillvalue=0)
+                key = (tuple(s + a for s, a in new), strip)
+                grown[key] = grown.get(key, 0) + count
+        states = grown
+    product = {}
+    for (shape, _), count in states.items():
+        product[shape] = product.get(shape, 0) + count
+    return product
 
 
-def _is_lattice(fill, nvals):
-    counts = [0] * (nvals + 1)
-    for row in fill:
-        for v in reversed(row):
-            counts[v] += 1
-            if v > 1 and counts[v] > counts[v - 1]:
-                return False
-    return True
+def _strips(shape, left, prev, budget, r=0):
+    """Cells per row, from row r on, of each horizontal strip of left
+    cells on shape with at most budget cells in row r, where passing
+    row r adds prev[r] to what is left of the bound."""
+    if left == 0:
+        yield ()
+    elif r <= len(shape):
+        room = shape[r - 1] - (shape[r] if r < len(shape) else 0) if r else left
+        extra = prev[r] if r < len(prev) else 0
+        for a in range(min(left, room, budget), -1, -1):
+            for rest in _strips(shape, left - a, prev, budget - a + extra, r + 1):
+                yield (a,) + rest
 
 
 def delta_multiplicity(lam, mu):
@@ -312,7 +297,7 @@ def induced_multiplicity_oracle(lam, mu):
     k = m - n
     if k < 0 or k % 2 != 0:
         return 0
-    total = Fraction(0)
+    total = 0
     h_order = 2**(k // 2) * factorial(k // 2)
     for rho in partitions_of(n):
         chi_lam = sym_character(lam, rho)
@@ -322,10 +307,8 @@ def induced_multiplicity_oracle(lam, mu):
         for h_type, count in _hyperoctahedral_type_counts(k):
             combined = tuple(sorted(rho + h_type, reverse=True))
             inner += count * sym_character(mu, combined)
-        total += Fraction(class_size(rho) * chi_lam * inner)
-    value = total / (factorial(n) * h_order)
-    assert value.denominator == 1
-    return int(value)
+        total += class_size(rho) * chi_lam * inner
+    return _exact_quotient(total, factorial(n) * h_order)
 
 
 def principal_permutation_multiplicity(n, m, mu):
@@ -334,14 +317,23 @@ def principal_permutation_multiplicity(n, m, mu):
     mu = check_partition(mu)
     if (n + m) % 2 != 0:
         return 0
-    total = Fraction(0)
+    total = 0
     for rho in partitions_of(m):
         chi = sym_character(mu, rho)
         if chi != 0:
-            total += Fraction(class_size(rho) * chi * _fixed_matchings(n, m, rho))
-    value = total / factorial(m)
-    assert value.denominator == 1
-    return int(value)
+            total += class_size(rho) * chi * _fixed_matchings(n, m, rho)
+    return _exact_quotient(total, factorial(m))
+
+
+def _exact_quotient(total, group_order):
+    """A character inner product, summed over the group, divided by the
+    group order; a remainder means the sum is wrong."""
+    value, rest = divmod(total, group_order)
+    if rest:
+        raise ArithmeticError(
+            f"character sum {total} is not a multiple of {group_order}"
+        )
+    return value
 
 
 @lru_cache(maxsize=None)

@@ -136,6 +136,71 @@ def _solve_exact(A, rhs, ncols):
     return x
 
 
+def lr_by_tableaux(lam, mu, target):
+    """LR coefficient by enumerating, for this one target, every
+    semistandard filling of target/lam with content mu and testing the
+    lattice condition on each complete filling."""
+    lam, mu, target = map(check_partition, (lam, mu, target))
+    if sum(lam) + sum(mu) != sum(target):
+        return 0
+    if len(lam) > len(target):
+        return 0
+    lam_padded = lam + (0,) * (len(target) - len(lam))
+    if any(lam_padded[i] > target[i] for i in range(len(target))):
+        return 0
+    if not mu:
+        return 1
+    rows = len(target)
+    fill = [[0] * (target[i] - lam_padded[i]) for i in range(rows)]
+    counts = [0] * (len(mu) + 1)
+
+    def cell_value_ok(i, j, v):
+        col = lam_padded[i] + j
+        if j > 0 and fill[i][j - 1] > v:
+            return False
+        if i > 0:
+            above_row = i - 1
+            above_j = col - lam_padded[above_row]
+            if 0 <= above_j < len(fill[above_row]) and fill[above_row][above_j] >= v:
+                return False
+        return True
+
+    total = 0
+
+    def place(i, j):
+        nonlocal total
+        if i == rows:
+            if _is_lattice_filling(fill, len(mu)):
+                total += 1
+            return
+        if j == len(fill[i]):
+            place(i + 1, 0)
+            return
+        for v in range(1, len(mu) + 1):
+            if counts[v] == mu[v - 1]:
+                continue
+            if not cell_value_ok(i, j, v):
+                continue
+            fill[i][j] = v
+            counts[v] += 1
+            place(i, j + 1)
+            counts[v] -= 1
+            fill[i][j] = 0
+
+    place(0, 0)
+    return total
+
+
+def _is_lattice_filling(fill, nvals):
+    counts = [0] * (nvals + 1)
+    for row in fill:
+        for v in reversed(row):
+            counts[v] += 1
+            if v > 1 and counts[v] > counts[v - 1]:
+                return False
+    return True
+
+
 def lr_by_characters(lam, mu, target):
     """LR coefficient via the Frobenius inner product of characters."""
     from math import factorial

@@ -1,10 +1,14 @@
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from diagcat import chars
 from diagcat.chars import (
+    _exact_quotient,
+    _lr_product,
     check_partition,
     class_size,
+    conjugate_partition,
     cycle_type,
     delta_multiplicity,
     dim_specht,
@@ -19,7 +23,17 @@ from diagcat.chars import (
 )
 from diagcat.errors import SizeMismatch
 
-from helpers import lr_by_characters, specht_character_oracle
+from helpers import lr_by_characters, lr_by_tableaux, specht_character_oracle
+
+
+def lr_triples(top):
+    """Every (lam, mu, target) with |lam| + |mu| = |target| <= top."""
+    for t in range(top + 1):
+        for a in range(t + 1):
+            for lam in partitions_of(a):
+                for mu in partitions_of(t - a):
+                    for target in partitions_of(t):
+                        yield lam, mu, target
 
 
 class TestPartitions:
@@ -34,6 +48,17 @@ class TestPartitions:
         assert check_partition([2, 0]) == (2,)
         with pytest.raises(ValueError):
             check_partition([1, 2])
+
+    def test_error_messages(self):
+        # the CLI prints these messages as they are
+        with pytest.raises(ValueError, match=r"^negative part in \(2, -1\)$"):
+            check_partition([2, 0, -1])
+        with pytest.raises(ValueError, match=r"^negative part in \(1, 2, -1\)$"):
+            check_partition([1, 2, -1])
+        with pytest.raises(
+            ValueError, match=r"^parts must be weakly decreasing: \(1, 2\)$"
+        ):
+            check_partition([1, 0, 2])
 
 
 class TestDimSpecht:
@@ -121,32 +146,69 @@ class TestLittlewoodRichardson:
         assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
 
     def test_symmetry(self):
-        for t in range(9):
-            for target in partitions_of(t):
-                for a in range(t + 1):
-                    for lam in partitions_of(a):
-                        for mu in partitions_of(t - a):
-                            assert lr_coefficient(
-                                lam, mu, target
-                            ) == lr_coefficient(mu, lam, target), (
-                                lam,
-                                mu,
-                                target,
-                            )
+        for lam, mu, target in lr_triples(8):
+            assert lr_coefficient(lam, mu, target) == lr_coefficient(
+                mu, lam, target
+            ), (lam, mu, target)
 
     def test_against_character_inner_product(self):
-        for t in range(7):
-            for target in partitions_of(t):
-                for a in range(t + 1):
-                    for lam in partitions_of(a):
-                        for mu in partitions_of(t - a):
-                            assert lr_coefficient(lam, mu, target) == (
-                                lr_by_characters(lam, mu, target)
-                            ), (lam, mu, target)
+        for lam, mu, target in lr_triples(6):
+            assert lr_coefficient(lam, mu, target) == (
+                lr_by_characters(lam, mu, target)
+            ), (lam, mu, target)
 
     def test_size_guards(self):
         assert lr_coefficient((2,), (1,), (2,)) == 0
         assert lr_coefficient((3,), (1,), (2, 1, 1)) == 0
+
+    def test_against_tableau_enumeration(self):
+        triples = list(lr_triples(8))
+        assert len(triples) == 6830
+        triples += [
+            ([2, 0], (1,), (3,)),
+            ((2,), [1, 0], [2, 1, 0]),
+            ((2, 1), (1,), (3, 1, 0)),
+            ((3,), (1,), (2, 2)),
+            ((1, 1, 1), (1,), (2, 2)),
+            ((2,), (2,), (3, 2)),
+            ((), (), ()),
+        ]
+        for lam, mu, target in triples:
+            assert lr_coefficient(lam, mu, target) == lr_by_tableaux(
+                lam, mu, target
+            ), (lam, mu, target)
+
+    def test_conjugation(self):
+        conj = conjugate_partition
+        for lam, mu, target in lr_triples(9):
+            assert lr_coefficient(conj(lam), conj(mu), conj(target)) == (
+                lr_coefficient(lam, mu, target)
+            ), (lam, mu, target)
+
+    def test_dimension_identity(self):
+        # sum over nu of c * f^nu = C(|lam| + |mu|, |lam|) f^lam f^mu
+        for t in range(12):
+            for a in range(t + 1):
+                for lam in partitions_of(a):
+                    for mu in partitions_of(t - a):
+                        product = _lr_product(lam, mu)
+                        assert all(c > 0 for c in product.values())
+                        assert set(product) <= set(partitions_of(t))
+                        total = sum(
+                            c * dim_specht(nu) for nu, c in product.items()
+                        )
+                        assert total == comb(t, a) * dim_specht(
+                            lam
+                        ) * dim_specht(mu), (lam, mu)
+
+    def test_memo_clears(self):
+        lr_coefficient((2, 1), (2, 1), (3, 2, 1))
+        lr_coefficient((1,), (1,), (2,))
+        assert _lr_product.cache_info().currsize > 0
+        for value in list(vars(chars).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+        assert _lr_product.cache_info().currsize == 0
 
 
 class TestDeltaMultiplicity:
@@ -219,6 +281,16 @@ class TestConcurrentMemo:
             th.join()
         assert len(results) == 4
         assert all(r == results[0] for r in results)
+
+
+class TestExactQuotient:
+    def test_divides(self):
+        assert _exact_quotient(48, 24) == 2
+        assert _exact_quotient(0, 6) == 0
+
+    def test_remainder_raises(self):
+        with pytest.raises(ArithmeticError):
+            _exact_quotient(7, 2)
 
 
 class TestHyperoctahedral:
