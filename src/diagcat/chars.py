@@ -219,9 +219,9 @@ def _lr_product(lam, mu):
 
 
 def _strips(shape, left, prev, budget, r=0):
-    """Cells per row, from row r on, of each horizontal strip of left
-    cells on shape with at most budget cells in row r, where passing
-    row r adds prev[r] to what is left of the bound."""
+    """Yield each horizontal strip of left cells on shape, as the cells
+    it adds to rows r, r + 1, ...; at most budget cells go in row r, and
+    moving past row r adds prev[r] to what is left of the budget."""
     if left == 0:
         yield ()
     elif r <= len(shape):

@@ -205,7 +205,7 @@ class TestLittlewoodRichardson:
         lr_coefficient((2, 1), (2, 1), (3, 2, 1))
         lr_coefficient((1,), (1,), (2,))
         assert _lr_product.cache_info().currsize > 0
-        for value in list(vars(chars).values()):
+        for value in vars(chars).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
         assert _lr_product.cache_info().currsize == 0
