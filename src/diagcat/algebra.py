@@ -3,11 +3,10 @@ Gram matrices, discriminants and semisimplicity tests at specific
 parameter values.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .coeff import DeltaPoly, int_exact_div, int_mul, int_sub, rational_roots
+from .coeff import DeltaPoly, _reduced, int_exact_div, int_mul, int_sub, rational_roots
 from .compose import compose
 from .diagrams import enumerate_diagrams
 from .errors import DimensionBudgetExceeded, UnsupportedVariant
@@ -60,38 +59,13 @@ class AlgebraTable:
 
     def left_multiplication_trace(self, k):
         """Trace of y -> basis[k] o y in the regular representation."""
-        acc = DeltaPoly.zero()
-        for l in range(self.dimension):
-            c, s, out = self.table[k][l]
-            if out == l:
-                acc = acc + DeltaPoly.delta_power(c, s)
-        return acc
-
-    def check_associativity(self):
-        """Exhaustive structure-constant associativity check."""
-        dim = self.dimension
-        for i in range(dim):
-            for j in range(dim):
-                cij, sij, kij = self.table[i][j]
-                for k in range(dim):
-                    cjk, sjk, kjk = self.table[j][k]
-                    c1, s1, k1 = self.table[kij][k]
-                    c2, s2, k2 = self.table[i][kjk]
-                    if (cij + c1, sij * s1, k1) != (cjk + c2, sjk * s2, k2):
-                        return False
-        return True
+        fixed = [(c, s) for l, (c, s, out) in enumerate(self.table[k]) if out == l]
+        return sum((DeltaPoly.one()._shifted(c, s) for c, s in fixed), DeltaPoly.zero())
 
     def gram_matrix(self):
         """G[i][j] = trace of left multiplication by basis[i] o basis[j]."""
         traces = [self.left_multiplication_trace(k) for k in range(self.dimension)]
-        G = []
-        for i in range(self.dimension):
-            row = []
-            for j in range(self.dimension):
-                c, s, k = self.table[i][j]
-                row.append(traces[k] * DeltaPoly.delta_power(c, s))
-            G.append(row)
-        return G
+        return [[traces[k]._shifted(c, s) for c, s, k in row] for row in self.table]
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +76,7 @@ def build_algebra(variant, n, max_basis=DEFAULT_BASIS_BUDGET):
 def poly_det(matrix):
     """Determinant of a square matrix of DeltaPolys.
 
-    Each row is scaled to integer coefficients by the lcm of its
+    Each row is scaled to int numerators by the lcm of its entries'
     denominators. Fraction-free (Bareiss) elimination then runs on int
     coefficient lists, where every division is exact over Z[d], and the
     product of the row scales is divided out of the last pivot. A zero
@@ -116,9 +90,9 @@ def poly_det(matrix):
     scale = 1
     M = []
     for row in matrix:
-        s = lcm(*(c.denominator for p in row for c in p.coeffs))
+        s = lcm(*(p._den for p in row))
         scale *= s
-        M.append([[c.numerator * (s // c.denominator) for c in p.coeffs] for p in row])
+        M.append([[c * (s // p._den) for c in p._num] for p in row])
     sign = 1
     prev = [1]
     for k in range(n - 1):
@@ -136,7 +110,7 @@ def poly_det(matrix):
                 row[j] = int_exact_div(num, prev)
             row[k] = []
         prev = pivot
-    return DeltaPoly(Fraction(sign * c, scale) for c in M[n - 1][n - 1])
+    return _reduced([sign * c for c in M[n - 1][n - 1]], scale)
 
 
 @lru_cache(maxsize=None)

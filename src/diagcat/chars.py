@@ -186,11 +186,11 @@ def lr_coefficient(lam, mu, target):
     """Littlewood-Richardson coefficient of target in lam * mu.
 
     Returns 0 whenever the sizes or containment fail. The whole product
-    is expanded once per normalized (lam, mu) and memoized.
+    is expanded once per normalized pair and memoized; c(lam, mu) equals
+    c(mu, lam), so the pair is taken in one order.
     """
-    return _lr_product(check_partition(lam), check_partition(mu)).get(
-        check_partition(target), 0
-    )
+    lam, mu = sorted((check_partition(lam), check_partition(mu)))
+    return _lr_product(lam, mu).get(check_partition(target), 0)
 
 
 @lru_cache(maxsize=None)

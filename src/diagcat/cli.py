@@ -7,7 +7,6 @@ Exit codes: 0 success (verification subcommands: all checks passed),
 """
 
 import argparse
-import functools
 import json
 import sys
 from fractions import Fraction
@@ -154,10 +153,7 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-@functools.cache
 def _build_parser():
-    """The argument parser, built once per process: building it costs
-    far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="diagcat",
         description="exact computations in diagram categories",
@@ -437,10 +433,13 @@ _HANDLERS = {
 }
 
 
+# built once at import: building the parser costs far more than a parse
+_PARSER = _build_parser()
+
+
 def run(argv):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

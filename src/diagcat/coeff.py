@@ -2,99 +2,105 @@
 
 Every morphism coefficient in this package is a polynomial in a single
 formal parameter ``d`` (the scalar assigned to each closed loop produced
-by composition) with arbitrary-precision rational coefficients.
+by composition) with rational coefficients. A `DeltaPoly` keeps them as
+int numerators over one positive int denominator, so each ring operation
+takes at most one gcd, and a factor of +-d**k is a shift of the tuple.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
-
-
-def _normalize(coeffs):
-    # strip trailing zeros; the zero polynomial is the empty tuple
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(Fraction(c) for c in coeffs[:n])
 
 
 class DeltaPoly:
     """Polynomial in the formal parameter d over the rationals.
 
-    Coefficients are stored densely, constant term first, with no
-    trailing zeros; two values are equal iff their normal forms are.
+    Stored as `_num`, a tuple of int numerators, constant term first,
+    with no trailing zeros, over `_den`, a positive int with
+    gcd(_den, *_num) == 1; zero is ((), 1). Two values are equal iff
+    their normal forms are. `coeffs` is the derived tuple of Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs=()):
+    def __new__(cls, coeffs=()):
+        if type(coeffs) is int:
+            return _poly((coeffs,) if coeffs else ())
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        object.__setattr__(self, "coeffs", _normalize(tuple(coeffs)))
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*[c.denominator for c in cs])
+        return _reduced([c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("DeltaPoly is immutable")
 
     @classmethod
     def zero(cls):
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls):
-        return cls((1,))
+        return _ONE
 
     @classmethod
     def delta_power(cls, c, scalar=1):
         """scalar * d**c"""
         if c < 0:
             raise ValueError("negative d-exponent")
-        if scalar == 0:
-            return cls.zero()
-        return _delta_power_cached(c, scalar)
+        return cls((0,) * c + (scalar,))
+
+    @property
+    def coeffs(self):
+        den = self._den
+        return tuple([Fraction(c, den) for c in self._num])
 
     @property
     def degree(self):
         """Degree, or -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._num
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = DeltaPoly(other)
         if not isinstance(other, DeltaPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # the hash of the tuple of Fractions, as hash(Fraction(n)) == hash(n)
+        return hash(self._num) if self._den == 1 else hash(self.coeffs)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = DeltaPoly(other)
         if not isinstance(other, DeltaPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, da, b, db = self._num, self._den, other._num, other._den
+        if da != db:
+            den = lcm(da, db)
+            a = [c * (den // da) for c in a]
+            b = [c * (den // db) for c in b]
+            da = den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return DeltaPoly(out)
+        return _reduced(out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DeltaPoly(tuple(-c for c in self.coeffs))
+        return _poly(tuple([-c for c in self._num]), self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = DeltaPoly(other)
-        if not isinstance(other, DeltaPoly):
+        if not isinstance(other, (int, Fraction, DeltaPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -102,33 +108,40 @@ class DeltaPoly:
         return DeltaPoly(other) - self
 
     def __mul__(self, other):
+        if type(other) is int:
+            return self._scaled(other, 1) if other else _ZERO
         if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other)) if other else DeltaPoly.zero()
+            other = Fraction(other)
+            return self._scaled(other.numerator, other.denominator) if other else _ZERO
         if not isinstance(other, DeltaPoly):
             return NotImplemented
-        if len(self.coeffs) == 1:
-            return other._scaled(self.coeffs[0])
-        if len(other.coeffs) == 1:
-            return self._scaled(other.coeffs[0])
-        if not self.coeffs or not other.coeffs:
-            return DeltaPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return DeltaPoly(out)
+        a, b = self._num, other._num
+        if len(a) == 1:
+            return other._scaled(a[0], self._den)
+        if len(b) == 1:
+            return self._scaled(b[0], other._den)
+        if not a or not b:
+            return _ZERO
+        return _reduced(int_mul(a, b), self._den * other._den)
 
     __rmul__ = __mul__
 
-    def _scaled(self, c):
-        # c is a nonzero Fraction, so the scaled tuple is still normal
-        if c == 1:
+    def _scaled(self, p, q):
+        """self * p / q, for ints p != 0 and q > 0."""
+        if p == 1 and q == 1:
             return self
-        out = object.__new__(DeltaPoly)
-        object.__setattr__(out, "coeffs", tuple(c * a for a in self.coeffs))
-        return out
+        return _reduced([p * c for c in self._num], q * self._den)
+
+    def _shifted(self, k, sign):
+        """sign * d**k * self, for sign +1 or -1; the normal form is kept."""
+        num = self._num
+        if sign < 0:
+            num = tuple([-c for c in num])
+        elif not k:
+            return self
+        if k and num:
+            num = (0,) * k + num
+        return _poly(num, self._den)
 
     def divmod(self, other):
         """Polynomial division with remainder; divisor must be nonzero."""
@@ -136,20 +149,12 @@ class DeltaPoly:
             other = DeltaPoly(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlead = other.coeffs[-1]
-        dn = len(other.coeffs)
-        while len(rem) >= dn:
-            c = rem[-1] / dlead
-            k = len(rem) - dn
-            quo[k] = c
-            for i, b in enumerate(other.coeffs):
+        rem, div = list(self.coeffs), other.coeffs
+        quo = [0] * max(len(rem) - len(div) + 1, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            c = quo[k] = rem[k + len(div) - 1] / div[-1]
+            for i, b in enumerate(div):
                 rem[k + i] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if not rem:
-                break
         return DeltaPoly(quo), DeltaPoly(rem)
 
     def exact_div(self, other):
@@ -160,16 +165,21 @@ class DeltaPoly:
         return q
 
     def evaluate(self, x):
-        """Value at an exact rational point, by Horner's rule."""
+        """Value at an exact rational point, by Horner's rule on ints:
+        with x = p / q and degree n, the sum of num_i p**i q**(n-i) is
+        den * q**n times the value."""
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        acc, pw = 0, 1
+        for c in reversed(self._num):
+            acc = acc * p + c * pw
+            pw *= q
+        # pw ends at q**(n + 1)
+        return Fraction(acc * q, pw * self._den)
 
     def __str__(self):
         # textual form `a0 + a1*d + a2*d^2`, rationals printed as p/q
-        if not self.coeffs:
+        if not self._num:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -187,9 +197,34 @@ class DeltaPoly:
         return f"DeltaPoly({self.coeffs!r})"
 
 
-@lru_cache(maxsize=4096)
-def _delta_power_cached(c, scalar):
-    return DeltaPoly((0,) * c + (scalar,))
+_set_num = DeltaPoly._num.__set__
+_set_den = DeltaPoly._den.__set__
+
+
+def _poly(num, den=1):
+    # trusted: num and den already in normal form
+    p = object.__new__(DeltaPoly)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+def _reduced(num, den):
+    """The normal form of the list num over the positive int den."""
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
+        return _ZERO
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _poly(tuple(num), den)
+
+
+_ZERO = _poly(())
+_ONE = _poly((1,))
 
 
 # -- integer coefficient lists ----------------------------------------
@@ -352,7 +387,7 @@ def rational_roots(poly):
     """All rational roots of a nonzero DeltaPoly, sorted ascending.
 
     Multiplicities are not reported. A factor d**k gives the root 0. The
-    rest is scaled to a primitive integer polynomial and reduced to its
+    int numerators of the rest are made primitive and reduced to their
     square-free part f / gcd(f, f'). Sturm sequences isolate the real
     roots of that part inside a power-of-two Cauchy bound, and bisection
     narrows each to an interval below 1 / (2 a**2), a the leading
@@ -363,14 +398,13 @@ def rational_roots(poly):
     """
     if poly.is_zero():
         raise ValueError("the zero polynomial has every root")
-    coeffs = poly.coeffs
+    num = poly._num
     k = 0
-    while coeffs[k] == 0:
+    while num[k] == 0:
         k += 1
     roots = [Fraction(0)] if k else []
-    if len(coeffs) - k > 1:
-        scale = lcm(*(c.denominator for c in coeffs))
-        f = _primitive([c.numerator * (scale // c.denominator) for c in coeffs[k:]])
+    if len(num) - k > 1:
+        f = _primitive(list(num[k:]))
         # primitive, with a positive leading coefficient, by Gauss's lemma
         f = int_exact_div(f, _gcd(f, _derivative(f)))
         for lo, hi in _root_intervals(f):

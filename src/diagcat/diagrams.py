@@ -238,11 +238,6 @@ class SignedBrauerDiagram(BrauerDiagram):
             self.n, self.m, self.edges, tuple(sorted(fixed))
         )
 
-    def is_canonical(self):
-        return all(
-            a == canonical_arrow(a, self.n, self.m) for a in self.arrows
-        )
-
     def to_text(self):
         oriented = {frozenset(a): a for a in self.arrows}
         parts = []

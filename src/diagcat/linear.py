@@ -36,15 +36,21 @@ class Morphism:
         clean = {}
         for d, c in dict(terms).items():
             c = _as_poly(c)
-            if c.is_zero():
-                continue
-            if d.bottom != source or d.top != target:
-                raise ShapeMismatch("term does not match source/target")
-            clean[d] = c
-        self.variant = variant
-        self.source = source
-        self.target = target
+            if c:
+                if d.bottom != source or d.top != target:
+                    raise ShapeMismatch("term does not match source/target")
+                clean[d] = c
+        self.variant, self.source, self.target = variant, source, target
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, variant, source, target, terms):
+        """__init__ without its checks, for terms of the right shape with
+        DeltaPoly coefficients; those that cancelled to zero are dropped."""
+        out = object.__new__(cls)
+        out.variant, out.source, out.target = variant, source, target
+        out.terms = {d: c for d, c in terms.items() if c}
+        return out
 
     @classmethod
     def zero(cls, variant, source, target):
@@ -76,7 +82,7 @@ class Morphism:
         terms = dict(self.terms)
         for d, c in other.terms.items():
             terms[d] = terms.get(d, DeltaPoly.zero()) + c
-        return Morphism(self.variant, self.source, self.target, terms)
+        return Morphism._trusted(self.variant, self.source, self.target, terms)
 
     def __neg__(self):
         return self * -1
@@ -86,12 +92,8 @@ class Morphism:
 
     def __mul__(self, scalar):
         scalar = _as_poly(scalar)
-        return Morphism(
-            self.variant,
-            self.source,
-            self.target,
-            {d: c * scalar for d, c in self.terms.items()},
-        )
+        terms = {d: c * scalar for d, c in self.terms.items()}
+        return Morphism._trusted(self.variant, self.source, self.target, terms)
 
     __rmul__ = __mul__
 
@@ -141,11 +143,11 @@ def morphism_compose(g, f):
             res = compose(dg, df)
             if res.is_zero:
                 continue
-            c = cf * cg * DeltaPoly.delta_power(res.closed_count, res.sign)
+            c = (cf * cg)._shifted(res.closed_count, res.sign)
             d = res.result
             acc = terms.get(d)
             terms[d] = c if acc is None else acc + c
-    return Morphism(g.variant, f.source, g.target, terms)
+    return Morphism._trusted(g.variant, f.source, g.target, terms)
 
 
 def morphism_tensor(f, g):
@@ -161,7 +163,7 @@ def morphism_tensor(f, g):
                 c = c * sign
             acc = terms.get(d)
             terms[d] = c if acc is None else acc + c
-    return Morphism(
+    return Morphism._trusted(
         f.variant, _object_sum(f.source, g.source), _object_sum(f.target, g.target), terms
     )
 
@@ -175,7 +177,7 @@ def _object_sum(a, b):
 def morphism_transpose(f):
     """Contravariant row-exchange at the morphism level."""
     terms = {transpose(d): c for d, c in f.terms.items()}
-    return Morphism(f.variant, f.target, f.source, terms)
+    return Morphism._trusted(f.variant, f.target, f.source, terms)
 
 
 class HomBasis:

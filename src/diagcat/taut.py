@@ -140,13 +140,6 @@ class RationalMatrix:
             [{i: v * c for i, v in col.items()} for col in self.columns],
         )
 
-    def transposed(self):
-        out = [{} for _ in range(self.rows)]
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                out[i][j] = v
-        return RationalMatrix(self.cols, self.rows, out)
-
     def __repr__(self):
         return f"<RationalMatrix {self.rows}x{self.cols}>"
 

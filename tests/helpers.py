@@ -10,6 +10,8 @@ from diagcat.chars import (
     standard_tableaux,
     sym_character,
 )
+from diagcat.diagrams import canonical_arrow
+from diagcat.taut import RationalMatrix
 
 
 def specht_character_oracle(lam, mu):
@@ -282,3 +284,60 @@ def partition_compose_oracle(beta, alpha):
         touching = sum(1 for blk in a_blocks + b_blocks if blk & members)
         cyclic = cyclic or middle >= touching
     return tuple(sorted(blocks)), closed, cyclic
+
+
+def check_associativity(algebra):
+    """Exhaustive structure-constant associativity check of an
+    AlgebraTable: (b_i b_j) b_k and b_i (b_j b_k) give the same loop
+    count, sign and basis diagram."""
+    table = algebra.table
+    dim = algebra.dimension
+    for i in range(dim):
+        for j in range(dim):
+            cij, sij, kij = table[i][j]
+            for k in range(dim):
+                cjk, sjk, kjk = table[j][k]
+                c1, s1, k1 = table[kij][k]
+                c2, s2, k2 = table[i][kjk]
+                if (cij + c1, sij * s1, k1) != (cjk + c2, sjk * s2, k2):
+                    return False
+    return True
+
+
+def is_canonical(d):
+    """Whether every arrow of a signed diagram has the reference
+    orientation."""
+    return all(a == canonical_arrow(a, d.n, d.m) for a in d.arrows)
+
+
+def transposed(matrix):
+    """The transpose of a column-sparse RationalMatrix."""
+    out = [{} for _ in range(matrix.rows)]
+    for j, col in enumerate(matrix.columns):
+        for i, v in col.items():
+            out[i][j] = v
+    return RationalMatrix(matrix.cols, matrix.rows, out)
+
+
+# -- polynomials in d as plain tuples of Fractions, constant term first --
+
+
+def trim(cs):
+    """The tuple of Fractions of cs without trailing zeros."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def list_add(a, b):
+    n = max(len(a), len(b))
+    return trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def list_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trim(out)

@@ -1,19 +1,28 @@
-"""Property tests past the exhaustive range: planar and degenerate
-diagrams on objects of size 5 to 8, drawn by hypothesis from a fixed
-seed so that every run checks the same examples."""
+"""Property tests past the exhaustive range: planar, degenerate and
+plain diagrams, and morphisms with coefficients a + b*d, on objects of
+size 5 to 8, drawn by hypothesis from a fixed seed so that every run
+checks the same examples."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagcat import (
     BrauerDiagram,
     DegeneratePartitionDiagram,
+    DeltaPoly,
+    Morphism,
+    PartitionDiagram,
+    SignedBrauerDiagram,
     TemperleyLiebDiagram,
     compose,
     disjoint_union,
     is_planar,
+    morphism_compose,
+    morphism_transpose,
     transpose,
 )
+from helpers import list_add, list_mul, partition_compose_oracle
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -45,7 +54,7 @@ def planar_diagrams(draw, n, m):
 
 
 @st.composite
-def degenerate_diagrams(draw, n, m):
+def degenerate_diagrams(draw, n, m, cls=DegeneratePartitionDiagram):
     """A set partition of the n + m vertices: each vertex draws one of
     k block labels, with k at least half the number of vertices, so that
     zero and nonzero products both occur often."""
@@ -56,7 +65,60 @@ def degenerate_diagrams(draw, n, m):
     parts = {}
     for v, label in zip(vertices, labels):
         parts.setdefault(label, []).append(v)
-    return DegeneratePartitionDiagram(n, m, list(parts.values()))
+    return cls(n, m, list(parts.values()))
+
+
+@st.composite
+def diagrams(draw, variant, n, m):
+    """A partition, or a perfect matching of the n + m vertices; a
+    signed matching orients each horizontal edge at random."""
+    if variant == "partition":
+        return draw(degenerate_diagrams(n, m, PartitionDiagram))
+    vertices = [(0, i) for i in range(1, n + 1)] + [(1, i) for i in range(1, m + 1)]
+    order = draw(st.permutations(vertices))
+    edges = list(zip(order[::2], order[1::2]))
+    if variant == "brauer":
+        return BrauerDiagram(n, m, edges)
+    arrows = [e if draw(st.booleans()) else e[::-1] for e in edges if e[0][0] == e[1][0]]
+    return SignedBrauerDiagram(n, m, edges, arrows)
+
+
+COEFFICIENTS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def morphisms(draw, variant, n, m):
+    """One to three diagrams, each with a coefficient a + b*d, b != 0."""
+    out = Morphism.zero(variant, n, m)
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(COEFFICIENTS), draw(COEFFICIENTS.filter(bool))
+        out = out + Morphism.from_diagram(draw(diagrams(variant, n, m)), DeltaPoly([a, b]))
+    return out
+
+
+def composable(draw, variant, count):
+    """`count` morphisms, each one's target the next one's source."""
+    objects = draw(sizes(count + 1, same_parity=variant != "partition"))
+    return [draw(morphisms(variant, a, b)) for a, b in zip(objects, objects[1:])]
+
+
+def oracle_compose(g, f):
+    """g o f term by term, with coefficients as tuples of Fractions: each
+    pair of terms gives cf * cg * sign * d**closed on its composite. The
+    composite of matchings and partitions is read off the stacked graph;
+    a signed composite and its sign come from the diagram engine."""
+    terms = {}
+    for df, cf in f.terms.items():
+        for dg, cg in g.terms.items():
+            if isinstance(df, SignedBrauerDiagram):
+                res = compose(dg, df)
+                diagram, closed, sign = res.result, res.closed_count, res.sign
+            else:
+                blocks, closed, _ = partition_compose_oracle(dg, df)
+                diagram, sign = type(df)(df.n, dg.m, blocks), 1
+            c = list_mul(list_mul(cf.coeffs, cg.coeffs), (0,) * closed + (sign,))
+            terms[diagram] = list_add(terms.get(diagram, ()), c)
+    return {d: c for d, c in terms.items() if c}
 
 
 def _planar_tl(d):
@@ -104,3 +166,30 @@ def test_degenerate_products_associative(data):
         assert left.result == right.result
         closed = ba.closed_count + left.closed_count
         assert closed == gb.closed_count + right.closed_count
+
+
+@pytest.mark.parametrize("variant", ["brauer", "partition", "signed"])
+@SEEDED
+@given(data=st.data())
+def test_morphism_compose_against_oracle(variant, data):
+    f, g = composable(data.draw, variant, 2)
+    got = {d: c.coeffs for d, c in morphism_compose(g, f).terms.items()}
+    assert got == oracle_compose(g, f)
+
+
+@pytest.mark.parametrize("variant", ["brauer", "partition", "signed"])
+@SEEDED
+@given(data=st.data())
+def test_morphism_compose_associative(variant, data):
+    f, g, h = composable(data.draw, variant, 3)
+    left = morphism_compose(h, morphism_compose(g, f))
+    assert left == morphism_compose(morphism_compose(h, g), f)
+
+
+@pytest.mark.parametrize("variant", ["brauer", "partition"])
+@SEEDED
+@given(data=st.data())
+def test_morphism_transpose_contravariant(variant, data):
+    f, g = composable(data.draw, variant, 2)
+    left = morphism_transpose(morphism_compose(g, f))
+    assert left == morphism_compose(morphism_transpose(f), morphism_transpose(g))

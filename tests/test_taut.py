@@ -17,6 +17,7 @@ from diagcat.taut import (
     taut_matrix,
     verify_taut_functoriality,
 )
+from helpers import transposed
 
 
 def b(i):
@@ -94,7 +95,7 @@ class TestBrauerMatrices:
         for n, m in [(0, 2), (2, 2), (1, 3), (3, 1)]:
             for d in enumerate_diagrams("brauer", n, m):
                 assert taut_matrix(ctx, transpose(d)).entries == (
-                    taut_matrix(ctx, d).transposed().entries
+                    transposed(taut_matrix(ctx, d)).entries
                 )
 
     def test_budget(self, monkeypatch):
