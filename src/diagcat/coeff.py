@@ -108,10 +108,7 @@ class DeltaPoly:
         return DeltaPoly(other) - self
 
     def __mul__(self, other):
-        if type(other) is int:
-            return self._scaled(other, 1) if other else _ZERO
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
             return self._scaled(other.numerator, other.denominator) if other else _ZERO
         if not isinstance(other, DeltaPoly):
             return NotImplemented

@@ -319,10 +319,11 @@ def transposed(matrix):
     return RationalMatrix(matrix.cols, matrix.rows, out)
 
 
-# -- polynomials in d as plain tuples of Fractions, constant term first --
+# -- polynomials in d as plain tuples of Fractions, constant term first,
+# without trailing zeros: the oracle ring for DeltaPoly
 
 
-def trim(cs):
+def poly_trim(cs):
     """The tuple of Fractions of cs without trailing zeros."""
     cs = [Fraction(c) for c in cs]
     while cs and cs[-1] == 0:
@@ -330,14 +331,14 @@ def trim(cs):
     return tuple(cs)
 
 
-def list_add(a, b):
+def poly_add(a, b):
     n = max(len(a), len(b))
-    return trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+    return poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
 
 
-def list_mul(a, b):
+def poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b))
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return trim(out)
+    return poly_trim(out)

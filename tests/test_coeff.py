@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagcat.coeff import DeltaPoly, rational_roots
-from helpers import list_add, list_mul, trim
+from helpers import poly_add, poly_mul, poly_trim
 
 
 def rand_poly(rng, max_deg=8):
@@ -204,7 +204,7 @@ def test_zero_factor_products():
         assert product.coeffs == ()
 
 
-# -- the int ring against plain lists of Fractions ---------------------
+# -- the int ring against plain tuples of Fractions --------------------
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -212,7 +212,7 @@ ENTRIES = st.one_of(st.integers(-30, 30), RATIONALS, st.just(0))
 LISTS = st.lists(ENTRIES, max_size=6)
 
 
-def list_text(a):
+def poly_text(a):
     terms = [
         str(c) if i == 0 else f"{c}*d" if i == 1 else f"{c}*d^{i}"
         for i, c in enumerate(a)
@@ -221,7 +221,7 @@ def list_text(a):
     return " + ".join(terms) or "0"
 
 
-def list_value(a, x):
+def poly_value(a, x):
     return sum((c * x**i for i, c in enumerate(a)), Fraction(0))
 
 
@@ -233,31 +233,31 @@ def assert_matches(p, want, x):
     assert not num or num[-1] != 0
     assert p.coeffs == want
     assert all(type(c) is Fraction for c in p.coeffs)
-    assert str(p) == list_text(want)
+    assert str(p) == poly_text(want)
     assert hash(p) == hash(want)
     value = p.evaluate(x)
-    assert type(value) is Fraction and value == list_value(want, x)
+    assert type(value) is Fraction and value == poly_value(want, x)
 
 
 @SEEDED
 @given(LISTS, LISTS, RATIONALS, st.integers(0, 3), st.sampled_from((1, -1)))
 def test_ring_against_fraction_lists(xs, ys, x, k, sign):
     p, q = DeltaPoly(xs), DeltaPoly(ys)
-    a, b = trim(xs), trim(ys)
+    a, b = poly_trim(xs), poly_trim(ys)
     neg_b = tuple(-c for c in b)
     c = ys[0] if ys else 0
     cases = [
         (p, a),
-        (p + q, list_add(a, b)),
-        (p - q, list_add(a, neg_b)),
+        (p + q, poly_add(a, b)),
+        (p - q, poly_add(a, neg_b)),
         (-q, neg_b),
-        (p * q, list_mul(a, b)),
-        (p * c, list_mul(a, trim([c]))),
-        (c * p, list_mul(a, trim([c]))),
-        (p + c, list_add(a, trim([c]))),
-        (c - p, list_add(trim([c]), tuple(-v for v in a))),
-        (p._shifted(k, sign), list_mul(a, trim([0] * k + [sign]))),
-        (DeltaPoly.delta_power(k, c), trim([0] * k + [c])),
+        (p * q, poly_mul(a, b)),
+        (p * c, poly_mul(a, poly_trim([c]))),
+        (c * p, poly_mul(a, poly_trim([c]))),
+        (p + c, poly_add(a, poly_trim([c]))),
+        (c - p, poly_add(poly_trim([c]), tuple(-v for v in a))),
+        (p._shifted(k, sign), poly_mul(a, poly_trim([0] * k + [sign]))),
+        (DeltaPoly.delta_power(k, c), poly_trim([0] * k + [c])),
     ]
     for poly, want in cases:
         assert_matches(poly, want, x)
@@ -266,4 +266,4 @@ def test_ring_against_fraction_lists(xs, ys, x, k, sign):
     if b:
         quo, rem = p.divmod(q)
         assert quo * q + rem == p and rem.degree < q.degree
-    assert (p == c) == (a == trim([c]))
+    assert (p == c) == (a == poly_trim([c]))

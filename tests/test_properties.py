@@ -22,7 +22,7 @@ from diagcat import (
     morphism_transpose,
     transpose,
 )
-from helpers import list_add, list_mul, partition_compose_oracle
+from helpers import partition_compose_oracle, poly_add, poly_mul
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -116,8 +116,8 @@ def oracle_compose(g, f):
             else:
                 blocks, closed, _ = partition_compose_oracle(dg, df)
                 diagram, sign = type(df)(df.n, dg.m, blocks), 1
-            c = list_mul(list_mul(cf.coeffs, cg.coeffs), (0,) * closed + (sign,))
-            terms[diagram] = list_add(terms.get(diagram, ()), c)
+            c = poly_mul(poly_mul(cf.coeffs, cg.coeffs), (0,) * closed + (sign,))
+            terms[diagram] = poly_add(terms.get(diagram, ()), c)
     return {d: c for d, c in terms.items() if c}
 
 
