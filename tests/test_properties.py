@@ -1,5 +1,6 @@
 """Property tests past the exhaustive range: planar, degenerate and
-plain diagrams, and morphisms with coefficients a + b*d, on objects of
+plain diagrams, signed diagrams against plain ones, the monoidal
+interchange law, and morphisms with coefficients a + b*d, on objects of
 size 5 to 8, drawn by hypothesis from a fixed seed so that every run
 checks the same examples."""
 
@@ -20,6 +21,7 @@ from diagcat import (
     is_planar,
     morphism_compose,
     morphism_transpose,
+    phi_signed_to_brauer,
     transpose,
 )
 from helpers import partition_compose_oracle, poly_add, poly_mul
@@ -193,3 +195,39 @@ def test_morphism_transpose_contravariant(variant, data):
     f, g = composable(data.draw, variant, 2)
     left = morphism_transpose(morphism_compose(g, f))
     assert left == morphism_compose(morphism_transpose(f), morphism_transpose(g))
+
+
+@pytest.mark.parametrize("variant", ["brauer", "partition"])
+@SEEDED
+@given(data=st.data())
+def test_interchange(variant, data):
+    """(b (x) b2) o (a (x) a2) == (b o a) (x) (b2 o a2), the loop counts
+    adding, for a: n -> m, b: m -> k and a2: n2 -> m2, b2: m2 -> k2."""
+    same_parity = variant != "partition"
+    n, m, k = data.draw(sizes(3, same_parity))
+    n2, m2, k2 = data.draw(sizes(3, same_parity))
+    a, b = data.draw(diagrams(variant, n, m)), data.draw(diagrams(variant, m, k))
+    a2, b2 = data.draw(diagrams(variant, n2, m2)), data.draw(diagrams(variant, m2, k2))
+    left = compose(disjoint_union(b, b2), disjoint_union(a, a2))
+    first, second = compose(b, a), compose(b2, a2)
+    assert left.result == disjoint_union(first.result, second.result)
+    assert left.closed_count == first.closed_count + second.closed_count
+
+
+@SEEDED
+@given(data=st.data())
+def test_signed_against_plain_at_minus_d(data):
+    """phi(b o a) at d equals phi(b) o phi(a) at -d: the composites
+    forget to the same plain diagram with the same loop count, and
+    sign * eps(result) == eps(a) * eps(b) * (-1)**closed."""
+    n, m, k = data.draw(sizes(3, same_parity=True))
+    a = data.draw(diagrams("signed", n, m))
+    b = data.draw(diagrams("signed", m, k))
+    signed = compose(b, a)
+    eps_result, plain_result = phi_signed_to_brauer(signed.result)
+    eps_a, plain_a = phi_signed_to_brauer(a)
+    eps_b, plain_b = phi_signed_to_brauer(b)
+    plain = compose(plain_b, plain_a)
+    assert plain_result == plain.result
+    assert signed.closed_count == plain.closed_count
+    assert signed.sign * eps_result == eps_a * eps_b * (-1) ** plain.closed_count
