@@ -5,7 +5,6 @@ the oriented variant from the comparison functor.
 
 from .diagrams import (
     BOTTOM,
-    TOP,
     BrauerDiagram,
     DegeneratePartitionDiagram,
     PartialInjection,
@@ -74,21 +73,21 @@ def _glue(beta, alpha, accepts):
     `labels()` names the part at each vertex. Every middle vertex lies
     in one part of alpha and one part of beta; a union-find over the
     parts (alpha's labels first, then beta's) joins that pair at each
-    middle vertex. Outer vertices are then collected by scanning
-    b1..bn and t1..tp, which yields the blocks already in canonical
-    order; for matchings they are the sorted edges. Returns
-    (closed, blocks, cyclic): the merged components without an outer
-    vertex, the outer blocks, and whether some middle vertex joined
-    two parts that were already connected. Operands are checked
-    against `accepts` first.
+    middle vertex. The outer vertices b1..bn, t1..tp are then scanned
+    and their roots numbered by first appearance, which gives the
+    composite's labels. Returns (closed, labels, cyclic): the number of
+    merged components without an outer vertex, the composite's labels,
+    and whether some middle vertex joined two parts that were already
+    connected. Operands are checked against `accepts` first.
     """
     _check(beta, alpha, accepts)
-    na, nb = len(alpha.parts), len(beta.parts)
     n, mid = alpha.n, alpha.m
-    a_labels, b_labels = alpha.labels(), beta.labels()
+    a_labels, b_labels = alpha._labels, beta._labels
+    na = max(a_labels) + 1 if a_labels else 0
+    parts = na + (max(b_labels) + 1 if b_labels else 0)
 
-    parent = list(range(na + nb))
-    components = na + nb
+    parent = list(range(parts))
+    joins = 0
     for x, y in zip(a_labels[n:], b_labels[:mid]):
         y += na
         while parent[x] != x:
@@ -97,30 +96,27 @@ def _glue(beta, alpha, accepts):
             y = parent[y]
         if x != y:
             parent[y] = x
-            components -= 1
-    # each join that finds its two parts already connected closes a cycle
-    cyclic = mid > na + nb - components
+            joins += 1
 
-    blocks = []
-    block_at = {}
-    outer = ((BOTTOM, a_labels[:n], 0), (TOP, b_labels[mid:], na))
-    for row, labels, shift in outer:
-        for i, label in enumerate(labels, 1):
-            root = label + shift
-            while parent[root] != root:
-                root = parent[root]
-            block = block_at.get(root)
-            if block is None:
-                block = block_at[root] = []
-                blocks.append(block)
-            block.append((row, i))
-    return components - len(blocks), tuple(map(tuple, blocks)), cyclic
+    number = {}
+    labels = []
+    for x in a_labels[:n]:
+        while parent[x] != x:
+            x = parent[x]
+        labels.append(number.setdefault(x, len(number)))
+    for x in b_labels[mid:]:
+        x += na
+        while parent[x] != x:
+            x = parent[x]
+        labels.append(number.setdefault(x, len(number)))
+    # each join that finds its two parts already connected closes a cycle
+    return parts - joins - len(number), tuple(labels), mid > joins
 
 
 def compose_brauer(beta, alpha):
     """beta after alpha in the matching family (plain, walled, planar)."""
-    closed, edges, _ = _glue(beta, alpha, _MATCHINGS)
-    result = type(alpha)._trusted(alpha.bottom, beta.top, edges)
+    closed, labels, _ = _glue(beta, alpha, _MATCHINGS)
+    result = type(alpha)._trusted(alpha.bottom, beta.top, labels)
     return CompositionResult(closed, result)
 
 
@@ -131,10 +127,9 @@ def compose_partition(beta, alpha):
     operands, sends the product to zero when the blocks of alpha and
     beta, joined at the middle vertices, contain a cycle.
     """
-    closed, blocks, cyclic = _glue(beta, alpha, _PARTITIONS)
-    result = type(alpha)._trusted(alpha.n, beta.m, blocks)
-    zero = cyclic and type(alpha) is DegeneratePartitionDiagram
-    return CompositionResult(closed, result, is_zero=zero)
+    closed, labels, cyclic = _glue(beta, alpha, _PARTITIONS)
+    result = type(alpha)._trusted(alpha.n, beta.m, labels)
+    return CompositionResult(closed, result, 1, cyclic and type(alpha) is DegeneratePartitionDiagram)
 
 
 def compose_signed(beta, alpha):
@@ -146,12 +141,8 @@ def compose_signed(beta, alpha):
     eps(beta) o eps(alpha) at -d, so
     sign = eps(alpha) * eps(beta) * eps(result) * (-1)**closed.
     """
-    closed, edges, _ = _glue(beta, alpha, (SignedBrauerDiagram,))
-    # in the reference orientation bottom arrows point right, top ones left
-    arrows = sorted(
-        (x, y) if x[0] == BOTTOM else (y, x) for x, y in edges if x[0] == y[0]
-    )
-    result = SignedBrauerDiagram._trusted(alpha.n, beta.m, edges, tuple(arrows))
+    closed, labels, _ = _glue(beta, alpha, (SignedBrauerDiagram,))
+    result = SignedBrauerDiagram._trusted(alpha.n, beta.m, labels)
     sign = epsilon_sign(alpha) * epsilon_sign(beta) * epsilon_sign(result)
     return CompositionResult(closed, result, sign=-sign if closed % 2 else sign)
 
@@ -184,19 +175,15 @@ def epsilon_sign(alpha):
         return alpha._epsilon
     except AttributeError:
         pass
-    n, m = alpha.n, alpha.m
-    last = n + m + 1
-    perm = [0] * last
-    # edges are sorted pairs, so only a top horizontal lists its
-    # larger position first
-    for k, ((r1, i1), (r2, i2)) in enumerate(alpha.edges):
-        if r1 == TOP:
-            x, y = last - i2, last - i1
-        else:
-            x, y = i1, i2 if r2 == BOTTOM else last - i2
-        perm[x] = 2 * k + 1
-        perm[y] = 2 * k + 2
-    sign = _perm_sign(perm[1:])
+    # positions in the order b1..bn, tm..t1: the part labelled k sends
+    # its smaller position to 2k + 1 and its larger one to 2k + 2
+    n, labels = alpha.n, alpha._labels
+    seen = set()
+    images = []
+    for label in labels[:n] + labels[n:][::-1]:
+        images.append(2 * label + 2 if label in seen else 2 * label + 1)
+        seen.add(label)
+    sign = _perm_sign(images)
     # an arrow pointing from larger to smaller position swaps the two
     # images of its edge, a transposition
     for (row, i), (_, j) in alpha.arrows:
@@ -226,7 +213,7 @@ def _perm_sign(images):
 
 def phi_signed_to_brauer(alpha):
     """Forget orientations, attaching the comparison sign."""
-    return epsilon_sign(alpha), BrauerDiagram(alpha.n, alpha.m, alpha.edges)
+    return epsilon_sign(alpha), BrauerDiagram._trusted(alpha.n, alpha.m, alpha._labels)
 
 
 def compose(beta, alpha):

@@ -5,6 +5,13 @@ index 1-based within its row. Only skeletal objects are representable:
 the rows are [n] and [m] (with a color split for the walled variant).
 All diagram values are immutable and stored in canonical form, so that
 equality, hashing and enumeration order are purely structural.
+
+A matching or a partition is stored as its restricted-growth string
+(Knuth, TAOCP 4A, 7.2.1.5): `labels()` numbers the part holding each
+vertex of b1..bn, t1..tm, parts numbered by first appearance. With the
+rows, that flat int tuple is the value's identity. The nested parts
+(a matching's `edges`, a partition's `blocks`) are a view, derived on
+first read and kept on the value; sorting still follows the parts.
 """
 
 from itertools import combinations, permutations
@@ -28,47 +35,52 @@ def vertex_text(v):
     return ("b" if row == BOTTOM else "t") + str(i)
 
 
+def _vertex(n, k):
+    """The k-th vertex of b1..bn, t1..tm, counting from 0."""
+    return (BOTTOM, k + 1) if k < n else (TOP, k + 1 - n)
+
+
 def _canon_edge(e):
     a, b = e
     return (a, b) if a <= b else (b, a)
 
 
-def _check_vertices(vertices, n, m, exc=NotAMatching):
-    for row, i in vertices:
-        size = n if row == BOTTOM else m
-        if not 1 <= i <= size:
-            raise exc(f"vertex {vertex_text((row, i))} out of range")
-
-
 class Diagram:
     """Identity shared by every diagram value.
 
-    A subclass names its identity fields once, in `_fields`; they are
-    stored canonically and never change. Two values are equal when
-    they have the same class and the same fields, the hash is computed
-    once from them, and `sort_key()` and `<` order by them.
+    A subclass names its identity fields once, in `_fields`: the two
+    rows and the data, in the order `_trusted` takes them, and for the
+    signed class its arrows. They are stored canonically and never
+    change. Two values are equal when they have the same class and the
+    same fields, and the hash is computed once from them.
+
+    The data of a matching or a partition is `labels()`; `parts` lists
+    its parts in canonical order, each a sorted tuple of vertices, part
+    k holding the vertices labelled k. `sort_key()` and `<` read the
+    parts in place of the labels, so that values sort as their parts do.
     """
 
-    __slots__ = ("n", "m", "_hash", "_labels")
-    _fields = ()
+    __slots__ = ("n", "m", "_hash", "_labels", "_parts")
+    _fields = ("n", "m", "_labels")
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls._fields)
+        cls._order = attrgetter(*("parts" if f == "_labels" else f for f in cls._fields))
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
 
-    def __init__(self, *values):
-        # subclasses validate and canonicalize first; the leading fields
-        # given are set, so the signed class can add its arrows after
-        for set_field, value in zip(self._setters, values):
-            set_field(self, value)
+    def __init__(self, first, second, data):
+        # subclasses validate and canonicalize first; the signed class
+        # adds its arrows after
+        setters = self._setters
+        setters[0](self, first)
+        setters[1](self, second)
+        setters[2](self, data)
 
     @classmethod
-    def _trusted(cls, *values):
+    def _trusted(cls, first, second, data):
         """Build from field values that are already canonical, unchecked."""
-        # the loop of __init__, inlined: compositions build every result here
         self = object.__new__(cls)
-        for set_field, value in zip(cls._setters, values):
-            set_field(self, value)
+        Diagram.__init__(self, first, second, data)
         return self
 
     def __setattr__(self, name, value):
@@ -77,27 +89,8 @@ class Diagram:
     bottom = property(attrgetter("n"))
     top = property(attrgetter("m"))
 
-    def labels(self):
-        """Index in `parts` of the part holding each vertex, in the order
-        b1..bn, t1..tm; computed once and kept on the value.
-
-        Parts are numbered in canonical order, so for a partition this
-        is its restricted-growth string.
-        """
-        try:
-            return self._labels
-        except AttributeError:
-            n = self.n
-            labels = [0] * (n + self.m)
-            for label, part in enumerate(self.parts):
-                for row, i in part:
-                    labels[i - 1 if row == BOTTOM else n + i - 1] = label
-            labels = tuple(labels)
-            object.__setattr__(self, "_labels", labels)
-            return labels
-
     def sort_key(self):
-        return self._key(self)
+        return self._order(self)
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key(self) == other._key(other)
@@ -110,31 +103,68 @@ class Diagram:
         return h
 
     def __lt__(self, other):
-        return self._key(self) < other._key(other)
+        return self._order(self) < other._order(other)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.to_text()}>"
 
+    def labels(self):
+        """The restricted-growth string of the parts: the index in
+        `parts` of the part holding each vertex, in the order b1..bn,
+        t1..tm."""
+        return self._labels
 
-def _matching_edges(n, m, edges):
-    """The canonical edge tuple of a perfect matching on [n] and [m]."""
+    @property
+    def parts(self):
+        """Derived from the labels on first read and kept on the value;
+        validating constructors and enumeration keep the parts they
+        built."""
+        try:
+            return self._parts
+        except AttributeError:
+            n, parts = self.n, {}
+            for k, label in enumerate(self._labels):
+                parts.setdefault(label, []).append((BOTTOM, k + 1) if k < n else (TOP, k + 1 - n))
+            _keep_parts(self, tuple(map(tuple, parts.values())))
+            return self._parts
+
+
+# keeps the parts a constructor has built as the value's parts view
+_keep_parts = Diagram._parts.__set__
+
+
+def _labels_of(n, m, parts, exc=NotAMatching, twice="used twice"):
+    """The labels of canonical parts on [n] and [m] as a list, None at a
+    vertex no part holds. A vertex out of range raises `exc`; so does,
+    once every vertex is known to be in range, one in two parts, with
+    `twice` completing the message."""
+    labels = [None] * (n + m)
+    repeated = None
+    for label, part in enumerate(parts):
+        for v in part:
+            row, i = v
+            if not (0 < i <= n if row == BOTTOM else row == TOP and 0 < i <= m):
+                raise exc(f"vertex {vertex_text(v)} out of range")
+            k = i - 1 if row == BOTTOM else n + i - 1
+            if labels[k] is not None:
+                repeated = repeated or v
+            labels[k] = label
+    if repeated:
+        raise exc(f"vertex {vertex_text(repeated)} {twice}")
+    return labels
+
+
+def _matching(n, m, edges):
+    """The canonical edges of a perfect matching on [n] and [m], and its labels."""
     edges = tuple(sorted(_canon_edge(tuple(e)) for e in edges))
-    _check_vertices((v for e in edges for v in e), n, m)
-    seen = set()
-    for e in edges:
-        for v in e:
-            if v in seen:
-                raise NotAMatching(f"vertex {vertex_text(v)} used twice")
-            seen.add(v)
+    labels = _labels_of(n, m, edges)
+    unmatched = None in labels and vertex_text(_vertex(n, labels.index(None)))
     if (n + m) % 2 != 0:
-        detail = ""
-        if len(seen) != n + m:
-            detail = f" ({vertex_text(_first_missing(seen, n, m))} unmatched)"
+        detail = f" ({unmatched} unmatched)" if unmatched else ""
         raise ParityViolation(f"no matching on {n}+{m} vertices{detail}")
-    if len(seen) != n + m:
-        missing = _first_missing(seen, n, m)
-        raise NotAMatching(f"vertex {vertex_text(missing)} unmatched")
-    return edges
+    if unmatched:
+        raise NotAMatching(f"vertex {unmatched} unmatched")
+    return edges, tuple(labels)
 
 
 class BrauerDiagram(Diagram):
@@ -146,12 +176,13 @@ class BrauerDiagram(Diagram):
     """
 
     variant = "brauer"
-    __slots__ = ("parts",)
-    _fields = ("n", "m", "parts")
+    __slots__ = ()
     edges = property(attrgetter("parts"))
 
     def __init__(self, n, m, edges):
-        super().__init__(n, m, _matching_edges(n, m, edges))
+        edges, labels = _matching(n, m, edges)
+        super().__init__(n, m, labels)
+        _keep_parts(self, edges)
 
     def to_text(self):
         body = "".join(
@@ -181,22 +212,6 @@ class TemperleyLiebDiagram(BrauerDiagram):
             raise NotAMatching("diagram is not planar")
 
 
-def _first_missing(seen, n, m):
-    for i in range(1, n + 1):
-        if (BOTTOM, i) not in seen:
-            return (BOTTOM, i)
-    for i in range(1, m + 1):
-        if (TOP, i) not in seen:
-            return (TOP, i)
-    raise AssertionError
-
-
-def iota_key(v, n, m):
-    """Position in the total order b1 < ... < bn < tm < ... < t1."""
-    row, i = v
-    return i if row == BOTTOM else n + m + 1 - i
-
-
 class SignedBrauerDiagram(BrauerDiagram):
     """Brauer diagram whose horizontal edges carry orientations.
 
@@ -208,13 +223,13 @@ class SignedBrauerDiagram(BrauerDiagram):
 
     variant = "signed"
     __slots__ = ("arrows", "_epsilon")
-    _fields = ("n", "m", "parts", "arrows")
+    _fields = ("n", "m", "_labels", "arrows")
 
     def __init__(self, n, m, edges, arrows=None):
         super().__init__(n, m, edges)
         horizontal = [e for e in self.parts if e[0][0] == e[1][0]]
         if arrows is None:
-            arrows = [canonical_arrow(e, n, m) for e in horizontal]
+            arrows = [canonical_arrow(e) for e in horizontal]
         arrows = tuple(sorted(tuple(a) for a in arrows))
         if len(arrows) != len(horizontal) or set(map(frozenset, arrows)) != set(
             map(frozenset, horizontal)
@@ -222,12 +237,28 @@ class SignedBrauerDiagram(BrauerDiagram):
             raise NotAMatching("arrows must orient exactly the horizontal edges")
         object.__setattr__(self, "arrows", arrows)
 
+    @classmethod
+    def _trusted(cls, n, m, labels, arrows=None):
+        # arrows=None stands for the reference orientation, as in __init__
+        self = super()._trusted(n, m, labels)
+        if arrows is None:
+            # the tail of a bottom arrow is its left end, of a top one its right end
+            first, arrows = {}, []
+            for k, label in enumerate(labels):
+                j = first.setdefault(label, k)
+                if j != k and (j < n) == (k < n):
+                    tail, head = (j, k) if k < n else (k, j)
+                    arrows.append((_vertex(n, tail), _vertex(n, head)))
+            arrows = tuple(sorted(arrows))
+        object.__setattr__(self, "arrows", arrows)
+        return self
+
     def canonicalize(self):
         """(sign, diagram with reference orientations); sign = (-1)^flips."""
         flips = 0
         fixed = []
         for tail, head in self.arrows:
-            canon = canonical_arrow((tail, head), self.n, self.m)
+            canon = canonical_arrow((tail, head))
             if (tail, head) != canon:
                 flips += 1
             fixed.append(canon)
@@ -235,7 +266,7 @@ class SignedBrauerDiagram(BrauerDiagram):
             return 1, self
         sign = -1 if flips % 2 else 1
         return sign, SignedBrauerDiagram._trusted(
-            self.n, self.m, self.edges, tuple(sorted(fixed))
+            self.n, self.m, self._labels, tuple(sorted(fixed))
         )
 
     def to_text(self):
@@ -264,11 +295,11 @@ class SignedBrauerDiagram(BrauerDiagram):
         }
 
 
-def canonical_arrow(edge, n, m):
-    a, b = edge
-    if iota_key(a, n, m) <= iota_key(b, n, m):
-        return (a, b)
-    return (b, a)
+def canonical_arrow(edge):
+    """The edge in the reference orientation: tail first in the order
+    b1 < ... < bn < tm < ... < t1."""
+    a, b = sorted(edge)
+    return (b, a) if a[0] == TOP else (a, b)
 
 
 class WalledBrauerDiagram(BrauerDiagram):
@@ -281,7 +312,7 @@ class WalledBrauerDiagram(BrauerDiagram):
 
     variant = "walled"
     __slots__ = ("bottom_colors", "top_colors")
-    _fields = ("bottom_colors", "top_colors", "parts")
+    _fields = ("bottom_colors", "top_colors", "_labels")
 
     # the row sizes follow from the color counts
     n = property(lambda self: sum(self.bottom_colors))
@@ -290,18 +321,14 @@ class WalledBrauerDiagram(BrauerDiagram):
     def __init__(self, bottom, top, edges):
         n1, n2 = bottom
         m1, m2 = top
-        edges = _matching_edges(n1 + n2, m1 + m2, edges)
-        Diagram.__init__(self, (n1, n2), (m1, m2), edges)
-        for a, b in self.edges:
-            same_row = a[0] == b[0]
-            same_color = self.color(a) == self.color(b)
-            if same_row and same_color:
+        edges, labels = _matching(n1 + n2, m1 + m2, edges)
+        Diagram.__init__(self, (n1, n2), (m1, m2), labels)
+        _keep_parts(self, edges)
+        for a, b in edges:
+            if (a[0] == b[0]) == (self.color(a) == self.color(b)):
+                kind, colors = ("horizontal", "equal") if a[0] == b[0] else ("vertical", "different")
                 raise ColorViolation(
-                    f"horizontal edge {vertex_text(a)} {vertex_text(b)} joins equal colors"
-                )
-            if not same_row and not same_color:
-                raise ColorViolation(
-                    f"vertical edge {vertex_text(a)} {vertex_text(b)} joins different colors"
+                    f"{kind} edge {vertex_text(a)} {vertex_text(b)} joins {colors} colors"
                 )
 
     @property
@@ -339,8 +366,7 @@ class PartitionDiagram(Diagram):
     which are its parts."""
 
     variant = "partition"
-    __slots__ = ("parts",)
-    _fields = ("n", "m", "parts")
+    __slots__ = ()
     blocks = property(attrgetter("parts"))
 
     def __init__(self, n, m, blocks):
@@ -349,18 +375,11 @@ class PartitionDiagram(Diagram):
         )
         if any(not b for b in blocks):
             raise NotAPartition("empty block")
-        _check_vertices((v for b in blocks for v in b), n, m, exc=NotAPartition)
-        seen = set()
-        for b in blocks:
-            for v in b:
-                if v in seen:
-                    raise NotAPartition(
-                        f"vertex {vertex_text(v)} in two blocks"
-                    )
-                seen.add(v)
-        if len(seen) != n + m:
+        labels = _labels_of(n, m, blocks, NotAPartition, "in two blocks")
+        if None in labels:
             raise NotAPartition("blocks do not cover all vertices")
-        super().__init__(n, m, blocks)
+        super().__init__(n, m, tuple(labels))
+        _keep_parts(self, blocks)
 
     def to_text(self):
         body = "".join(
@@ -466,28 +485,37 @@ def _through_from(d, row):
     """No part meets `row` twice or lies in `row` entirely."""
     if isinstance(d, PartialInjection):
         return len(d.pairs) == (d.n if row == BOTTOM else d.m)
-    # parts list their bottom vertices first, so a part meets the bottom
-    # row twice or lies in it entirely exactly when its second vertex (or
-    # its only one) is a bottom vertex; the top row is read from the end
+    # the labels number the parts by first appearance, so those of the
+    # bottom row are 0..k-1 for its k parts: they are distinct exactly
+    # when the last is n - 1, and a top vertex's part meets the bottom
+    # exactly when its label is below k
+    n, labels = d.n, d._labels
     if row == BOTTOM:
-        for part in d.parts:
-            if part[:2][-1][0] == BOTTOM:
-                return False
-    else:
-        for part in d.parts:
-            if part[-2:][0][0] == TOP:
-                return False
-    return True
+        return (not n or labels[n - 1] == n - 1) and set(labels[n:]).issuperset(range(n))
+    top = labels[n:]
+    if not top or not n:
+        return not top
+    return max(top) <= max(labels[:n]) and len(set(top)) == len(top)
 
 
 def is_planar(d):
     """No crossing under the order b1 < ... < bn < tm < ... < t1."""
-    n, m = d.n, d.m
-    pos = [tuple(sorted(iota_key(v, n, m) for v in e)) for e in d.edges]
-    for (x, y), (z, w) in combinations(pos, 2):
-        if x < z < y < w or z < x < w < y:
-            return False
-    return True
+    # in that order each edge must close the innermost edge still open
+    n, labels = d.n, d._labels
+    stack = []
+    for label in labels[:n] + labels[n:][::-1]:
+        if stack and stack[-1] == label:
+            stack.pop()
+        else:
+            stack.append(label)
+    return not stack
+
+
+def renumbered(labels):
+    """Labels renumbered by first appearance: the restricted-growth
+    string of the same set partition."""
+    first = {}
+    return tuple([first.setdefault(x, len(first)) for x in labels])
 
 
 def transpose(d):
@@ -496,9 +524,9 @@ def transpose(d):
         raise UnsupportedVariant("transpose of signed diagrams is not defined")
     if isinstance(d, PartialInjection):
         return PartialInjection(d.m, d.n, [(b, a) for a, b in d.pairs])
-    parts = sorted([tuple(sorted([(1 - row, i) for row, i in p])) for p in d.parts])
+    n, labels = d.n, d._labels
     # the fields of a walled value start with the colorings, not the sizes
-    return type(d)._trusted(d.top, d.bottom, tuple(parts))
+    return type(d)._trusted(d.top, d.bottom, renumbered(labels[n:] + labels[:n]))
 
 
 def disjoint_union(d1, d2):
@@ -507,48 +535,33 @@ def disjoint_union(d1, d2):
         raise VariantMismatch(
             f"cannot union {type(d1).__name__} with {type(d2).__name__}"
         )
-    if isinstance(d1, WalledBrauerDiagram):
-        return _walled_union(d1, d2)
     if isinstance(d1, PartialInjection):
         pairs = list(d1.pairs) + [(a + d1.n, b + d1.m) for a, b in d2.pairs]
         return PartialInjection(d1.n + d2.n, d1.m + d2.m, pairs)
-    n, m = d1.n, d1.m
-
-    def shift(part):
-        return tuple([(row, i + (n if row == BOTTOM else m)) for row, i in part])
-
-    # shifting keeps each part of d2 sorted, so only the order of the
-    # parts has to be restored
-    parts = tuple(sorted(d1.parts + tuple(map(shift, d2.parts))))
+    # d2's labels are complemented to keep them apart from d1's until
+    # the vertices, in their new order, are renumbered
+    a, b = d1._labels, tuple([~x for x in d2._labels])
+    n, n2 = d1.n, d2.n
+    if isinstance(d1, WalledBrauerDiagram):
+        # color-1 vertices of both diagrams precede all color-2 vertices
+        (p1, p2), (q1, q2) = d1.bottom_colors, d2.bottom_colors
+        (r1, r2), (s1, s2) = d1.top_colors, d2.top_colors
+        labels = (
+            a[:p1] + b[:q1] + a[p1:n] + b[q1:n2]
+            + a[n:n + r1] + b[n2:n2 + s1] + a[n + r1:] + b[n2 + s1:]
+        )
+        return WalledBrauerDiagram._trusted(
+            (p1 + q1, p2 + q2), (r1 + s1, r2 + s2), renumbered(labels)
+        )
+    m = d1.m
+    labels = renumbered(a[:n] + b[:n2] + a[n:] + b[n2:])
     if isinstance(d1, SignedBrauerDiagram):
+        def shift(arrow):
+            return tuple([(row, i + (n if row == BOTTOM else m)) for row, i in arrow])
+
         arrows = tuple(sorted(d1.arrows + tuple(map(shift, d2.arrows))))
-        return SignedBrauerDiagram._trusted(n + d2.n, m + d2.m, parts, arrows)
-    return type(d1)._trusted(n + d2.n, m + d2.m, parts)
-
-
-def _walled_union(d1, d2):
-    # color-1 vertices of both diagrams precede all color-2 vertices
-    nb = (d1.bottom_colors[0] + d2.bottom_colors[0],
-          d1.bottom_colors[1] + d2.bottom_colors[1])
-    nt = (d1.top_colors[0] + d2.top_colors[0],
-          d1.top_colors[1] + d2.top_colors[1])
-
-    def f1(v):
-        row, i = v
-        split = d1.bottom_colors[0] if row == BOTTOM else d1.top_colors[0]
-        add = d2.bottom_colors[0] if row == BOTTOM else d2.top_colors[0]
-        return (row, i) if i <= split else (row, i + add)
-
-    def f2(v):
-        row, i = v
-        split = d2.bottom_colors[0] if row == BOTTOM else d2.top_colors[0]
-        c1, c2 = d1.bottom_colors if row == BOTTOM else d1.top_colors
-        return (row, i + c1) if i <= split else (row, i + c1 + c2)
-
-    edges = [_canon_edge((f1(a), f1(b))) for a, b in d1.edges] + [
-        _canon_edge((f2(a), f2(b))) for a, b in d2.edges
-    ]
-    return WalledBrauerDiagram._trusted(nb, nt, tuple(sorted(edges)))
+        return SignedBrauerDiagram._trusted(n + n2, m + d2.m, labels, arrows)
+    return type(d1)._trusted(n + n2, m + d2.m, labels)
 
 
 def _matchings(points):
@@ -598,24 +611,23 @@ def enumerate_diagrams(variant, bottom, top):
     points = [(BOTTOM, i) for i in range(1, n + 1)] + [
         (TOP, i) for i in range(1, m + 1)
     ]
-    out = []
+    found = []
     if issubclass(cls, PartitionDiagram):
-        out = [
-            cls._trusted(n, m, tuple(sorted(map(tuple, blocks))))
-            for blocks in _set_partitions(points)
-        ]
+        found = [tuple(sorted(map(tuple, blocks))) for blocks in _set_partitions(points)]
     elif cls is PartialInjection:
+        out = []
         bot = list(range(1, n + 1))
         for k in range(min(n, m) + 1):
             for dom in combinations(bot, k):
                 for img in _injections(k, m):
                     out.append(PartialInjection(n, m, list(zip(dom, img))))
+        return sorted(out, key=Diagram.sort_key)
     elif (n + m) % 2:  # no matching on an odd number of points
         pass
     elif cls is TemperleyLiebDiagram:
         # the points in the order b1 < ... < bn < tm < ... < t1
         for edges in _noncrossing(points[:n] + points[n:][::-1]):
-            out.append(cls._trusted(n, m, tuple(sorted(map(_canon_edge, edges)))))
+            found.append(tuple(sorted(map(_canon_edge, edges))))
     elif walled:
         bottom, top = tuple(bottom), tuple(top)
 
@@ -626,14 +638,16 @@ def enumerate_diagrams(variant, bottom, top):
         # _matchings yields each matching as canonical edges in sorted order
         for edges in _matchings(points):
             if all((color(a) == color(b)) != (a[0] == b[0]) for a, b in edges):
-                out.append(cls._trusted(bottom, top, tuple(edges)))
-    elif cls is SignedBrauerDiagram:
-        for edges in _matchings(points):
-            arrows = [canonical_arrow(e, n, m) for e in edges if e[0][0] == e[1][0]]
-            out.append(cls._trusted(n, m, tuple(edges), tuple(sorted(arrows))))
+                found.append(tuple(edges))
     else:
-        out = [cls._trusted(n, m, tuple(edges)) for edges in _matchings(points)]
-    return sorted(out, key=Diagram.sort_key)
+        found = [tuple(edges) for edges in _matchings(points)]
+    # the values share their rows, so they sort as their parts do; each
+    # keeps the parts it was built from
+    out = []
+    for parts in sorted(found):
+        out.append(cls._trusted(bottom, top, tuple(_labels_of(n, m, parts))))
+        _keep_parts(out[-1], parts)
+    return out
 
 
 def _injections(k, m):

@@ -7,8 +7,6 @@ from math import factorial
 from .coeff import DeltaPoly
 from .compose import compose
 from .diagrams import (
-    BOTTOM,
-    TOP,
     BrauerDiagram,
     PartitionDiagram,
     SignedBrauerDiagram,
@@ -17,6 +15,7 @@ from .diagrams import (
     identity_diagram,
     is_downwards,
     is_upwards,
+    renumbered,
     transpose,
     disjoint_union,
 )
@@ -45,11 +44,12 @@ class Morphism:
 
     @classmethod
     def _trusted(cls, variant, source, target, terms):
-        """__init__ without its checks, for terms of the right shape with
-        DeltaPoly coefficients; those that cancelled to zero are dropped."""
+        """__init__ without its checks, for a dict of terms of the right
+        shape with nonzero DeltaPoly coefficients, which it keeps; callers
+        whose sums may cancel drop the zero terms first."""
         out = object.__new__(cls)
         out.variant, out.source, out.target = variant, source, target
-        out.terms = {d: c for d, c in terms.items() if c}
+        out.terms = terms
         return out
 
     @classmethod
@@ -82,6 +82,7 @@ class Morphism:
         terms = dict(self.terms)
         for d, c in other.terms.items():
             terms[d] = terms.get(d, DeltaPoly.zero()) + c
+        terms = {d: c for d, c in terms.items() if c}
         return Morphism._trusted(self.variant, self.source, self.target, terms)
 
     def __neg__(self):
@@ -92,7 +93,7 @@ class Morphism:
 
     def __mul__(self, scalar):
         scalar = _as_poly(scalar)
-        terms = {d: c * scalar for d, c in self.terms.items()}
+        terms = {d: c * scalar for d, c in self.terms.items()} if scalar else {}
         return Morphism._trusted(self.variant, self.source, self.target, terms)
 
     __rmul__ = __mul__
@@ -147,6 +148,7 @@ def morphism_compose(g, f):
             d = res.result
             acc = terms.get(d)
             terms[d] = c if acc is None else acc + c
+    terms = {d: c for d, c in terms.items() if c}
     return Morphism._trusted(g.variant, f.source, g.target, terms)
 
 
@@ -163,9 +165,9 @@ def morphism_tensor(f, g):
                 c = c * sign
             acc = terms.get(d)
             terms[d] = c if acc is None else acc + c
-    return Morphism._trusted(
-        f.variant, _object_sum(f.source, g.source), _object_sum(f.target, g.target), terms
-    )
+    terms = {d: c for d, c in terms.items() if c}
+    source, target = _object_sum(f.source, g.source), _object_sum(f.target, g.target)
+    return Morphism._trusted(f.variant, source, target, terms)
 
 
 def _object_sum(a, b):
@@ -176,6 +178,8 @@ def _object_sum(a, b):
 
 def morphism_transpose(f):
     """Contravariant row-exchange at the morphism level."""
+    # transpose is one-to-one and the coefficients are kept, so no term
+    # can cancel
     terms = {transpose(d): c for d, c in f.terms.items()}
     return Morphism._trusted(f.variant, f.target, f.source, terms)
 
@@ -228,26 +232,21 @@ def factorize(d):
         raise UnsupportedVariant("factorization of signed diagrams is out of scope")
     if not isinstance(d, (BrauerDiagram, PartitionDiagram)):
         raise UnsupportedVariant(f"cannot factorize {type(d).__name__}")
-    down, up, through = [], [], []
-    for part in d.parts:
-        # a part lists its bottom vertices first
-        bot = tuple([v for v in part if v[0] == BOTTOM])
-        top = part[len(bot):]
-        if bot and top:
-            through.append(bot)
-            k = len(through)
-            down.append(bot + ((TOP, k),))
-            up.append(((BOTTOM, k),) + top)
-        else:
-            (down if bot else up).append(part)
+    n, labels = d.n, d.labels()
+    bottom, top = labels[:n], labels[n:]
+    # the labels of the through parts, in canonical order
+    through = tuple(sorted(set(bottom).intersection(top)))
     middle = len(through)
     if isinstance(d, WalledBrauerDiagram):
         # through edges run in the order of their bottom ends, which on a
         # walled row puts every color-1 edge before every color-2 one
-        p1 = sum(1 for (a,) in through if d.color(a) == 1)
+        p1 = sum(1 for x in through if bottom.index(x) < d.bottom_colors[0])
         middle = (p1, middle - p1)
+    # the k-th middle vertex carries the label of the k-th through part;
+    # below it the bottom labels keep their first-appearance numbering
     cls = type(d)
-    return Factorization(middle, cls(d.bottom, middle, down), cls(middle, d.top, up))
+    down = cls._trusted(d.bottom, middle, bottom + through)
+    return Factorization(middle, down, cls._trusted(middle, d.top, renumbered(through + top)))
 
 
 _AXIOM_VARIANTS = ("brauer", "partition", "temperley_lieb")

@@ -307,7 +307,7 @@ def check_associativity(algebra):
 def is_canonical(d):
     """Whether every arrow of a signed diagram has the reference
     orientation."""
-    return all(a == canonical_arrow(a, d.n, d.m) for a in d.arrows)
+    return all(a == canonical_arrow(a) for a in d.arrows)
 
 
 def transposed(matrix):

@@ -1,9 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from diagcat import (
     BrauerDiagram,
+    SignedBrauerDiagram,
     TemperleyLiebDiagram,
     disjoint_union,
     enumerate_diagrams,
@@ -14,6 +16,7 @@ from diagcat import (
     make_diagram,
     transpose,
 )
+from diagcat.diagrams import variant_class
 from diagcat.errors import (
     ColorViolation,
     NotAMatching,
@@ -234,10 +237,11 @@ class TestCounts:
         assert sorted(shuffled) == ds
         for d in ds:
             cls = type(d)
-            # each class's fields are its validating constructor's arguments
+            # the fields sort_key() reads are the validating constructor's
+            # arguments; _trusted takes the identity, labels for parts
             *objects, data = d.sort_key()
             checked = cls(*objects, list(reversed(data)))
-            trusted = cls._trusted(*d.sort_key())
+            trusted = cls._trusted(*d._key(d))
             assert checked == d and trusted == d
             assert hash(checked) == hash(d) == hash(trusted)
             if hasattr(d, "edges"):
@@ -359,3 +363,98 @@ class TestDisjointUnion:
         u = disjoint_union(i, i)
         assert u.bottom_colors == (2, 2)
         assert u == identity_diagram("walled", (2, 2))
+
+
+IDENTITY_VARIANTS = ("brauer", "temperley_lieb", "walled", "signed", "partition", "degenerate")
+
+
+def hom_spaces(variant, total):
+    """(bottom, top) for every hom space with at most `total` vertices."""
+    if variant == "walled":
+        rows = [(a, c) for a in range(total + 1) for c in range(total + 1 - a)]
+        return [(x, y) for x in rows for y in rows if sum(x) + sum(y) <= total]
+    return [(n, m) for n in range(total + 1) for m in range(total + 1 - n)]
+
+
+def rebuilt(cls, bottom, top, parts, arrows, rng):
+    """The validating constructor on the parts in shuffled order, each
+    with its vertices shuffled."""
+    parts = [rng.sample(p, len(p)) for p in rng.sample(parts, len(parts))]
+    if cls is SignedBrauerDiagram:
+        return cls(bottom, top, parts, rng.sample(arrows, len(arrows)))
+    return cls(bottom, top, parts)
+
+
+def moved(d1, d2, v, first):
+    """Where vertex v of d1 (first) or of d2 lands in disjoint_union(d1,
+    d2): each row lists d1's vertices, then d2's; a walled row does so
+    for each color in turn."""
+    row, i = v
+    r1, r2 = (d1.bottom, d2.bottom) if row == 0 else (d1.top, d2.top)
+    if isinstance(r1, int):
+        return v if first else (row, i + r1)
+    if first:
+        return v if i <= r1[0] else (row, i + r2[0])
+    return (row, i + r1[0]) if i <= r2[0] else (row, i + sum(r1))
+
+
+def size(x):
+    return x if isinstance(x, int) else sum(x)
+
+
+class TestLabelsIdentity:
+    """Matchings and partitions are stored as their labels; the parts
+    are a view. Every value with at most six vertices is checked against
+    the validating constructors, which build from parts."""
+
+    @pytest.mark.parametrize("variant", IDENTITY_VARIANTS)
+    def test_labels_are_the_identity(self, variant):
+        rng = random.Random(12)
+        cls = variant_class(variant)
+        every = {}
+        for bottom, top in hom_spaces(variant, 6):
+            ds = enumerate_diagrams(variant, bottom, top)
+            assert sorted(rng.sample(ds, len(ds))) == ds
+            for d in ds:
+                arrows = list(getattr(d, "arrows", ()))
+                built = rebuilt(cls, bottom, top, d.parts, arrows, rng)
+                # a value built from its labels alone derives its parts
+                signed = [tuple(arrows)] if cls is SignedBrauerDiagram else []
+                bare = cls._trusted(bottom, top, d.labels(), *signed)
+                assert bare.parts == built.parts == d.parts
+                assert built == d == bare
+                assert hash(built) == hash(d) == hash(bare)
+                every[built] = d
+                if arrows:
+                    flipped = cls(bottom, top, d.parts, [a[::-1] for a in arrows])
+                    assert flipped != d and flipped.parts == d.parts
+                if variant != "signed":
+                    swapped = [[(1 - row, i) for row, i in p] for p in d.parts]
+                    assert transpose(d) == rebuilt(cls, top, bottom, swapped, [], rng)
+        # values of different shapes or parts are never equal
+        assert len(every) == len(set(every.values()))
+
+    @pytest.mark.parametrize("variant", IDENTITY_VARIANTS)
+    def test_disjoint_union_against_constructor(self, variant):
+        rng = random.Random(13)
+        by_size = {}
+        for bottom, top in hom_spaces(variant, 6):
+            ds = enumerate_diagrams(variant, bottom, top)
+            by_size.setdefault(size(bottom) + size(top), []).extend(ds)
+        count = 0
+        for size1, ds1 in by_size.items():
+            for size2, ds2 in by_size.items():
+                if size1 + size2 > 6:
+                    continue
+                for d1, d2 in product(ds1, ds2):
+                    u = disjoint_union(d1, d2)
+                    parts, arrows = [], []
+                    for d, first in ((d1, True), (d2, False)):
+                        parts += [[moved(d1, d2, v, first) for v in p] for p in d.parts]
+                        for a in getattr(d, "arrows", ()):
+                            arrows.append(tuple(moved(d1, d2, v, first) for v in a))
+                    want = rebuilt(type(d1), u.bottom, u.top, parts, arrows, rng)
+                    assert u == want and hash(u) == hash(want), (d1, d2)
+                    assert u.parts == want.parts
+                    count += 1
+        assert count > 0

@@ -108,6 +108,17 @@ class TestMorphismAlgebra:
         f = Morphism.from_diagram(make_diagram("signed", 0, 2, [(t(1), t(2))]))
         assert list(f.terms.values()) == [DeltaPoly(-1)]
 
+    def test_cancelled_terms_are_dropped(self):
+        f = Morphism.from_diagram(CUP, DeltaPoly([1, 2]))
+        assert (f - f).terms == {} and (f * 0).terms == {}
+        # the identity and the swap send the cup to the same diagram
+        swap = make_diagram("brauer", 2, 2, [(b(1), t(2)), (b(2), t(1))])
+        g = Morphism.identity("brauer", 2) - Morphism.from_diagram(swap)
+        assert morphism_compose(g, f).terms == {}
+        signed = make_diagram("signed", 0, 2, [(t(1), t(2))])
+        h = Morphism("signed", 0, 2, {signed: 1, signed.canonicalize()[1]: 1})
+        assert morphism_tensor(h, Morphism.identity("signed", 0)).terms == {}
+
     def test_degenerate_drops_zero_terms(self):
         alpha = Morphism.from_diagram(make_diagram("degenerate", 0, 2, [[t(1), t(2)]]))
         beta = Morphism.from_diagram(make_diagram("degenerate", 2, 0, [[b(1), b(2)]]))
@@ -176,6 +187,9 @@ class TestFactorize:
                     res = compose(fac.up, fac.down)
                     assert res.closed_count == 0 and not res.is_zero
                     assert res.result == d
+                    # the factors are valid diagrams of their class
+                    for f in (fac.down, fac.up):
+                        assert type(d)(f.bottom, f.top, f.parts) == f, d
 
 
 def as_partition(d):
