@@ -340,17 +340,17 @@ def _exact_quotient(total, group_order):
 def _fixed_matchings(n, m, rho):
     """Number of matching diagrams [n] -> [m] fixed by a permutation of
     cycle type rho acting on the top row."""
-    from .diagrams import TOP, enumerate_diagrams
+    from .diagrams import enumerate_diagrams, renumbered
 
     sigma = _permutation_of_type(rho)
-
-    def move(v):
-        return (TOP, sigma[v[1] - 1]) if v[0] == TOP else v
-
     fixed = 0
     for d in enumerate_diagrams("brauer", n, m):
-        moved = sorted(tuple(sorted((move(v), move(w)))) for v, w in d.edges)
-        fixed += tuple(moved) == d.edges
+        labels = d.labels()
+        # top vertex j moves to sigma[j - 1], taking its label along
+        moved = list(labels)
+        for j, label in enumerate(labels[n:]):
+            moved[n + sigma[j] - 1] = label
+        fixed += renumbered(moved) == labels
     return fixed
 
 

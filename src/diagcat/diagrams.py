@@ -177,7 +177,7 @@ class BrauerDiagram(Diagram):
 
     variant = "brauer"
     __slots__ = ()
-    edges = property(attrgetter("parts"))
+    edges = Diagram.parts
 
     def __init__(self, n, m, edges):
         edges, labels = _matching(n, m, edges)
@@ -367,7 +367,7 @@ class PartitionDiagram(Diagram):
 
     variant = "partition"
     __slots__ = ()
-    blocks = property(attrgetter("parts"))
+    blocks = Diagram.parts
 
     def __init__(self, n, m, blocks):
         blocks = tuple(
