@@ -69,8 +69,7 @@ class Diagram:
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
 
     def __init__(self, first, second, data):
-        # subclasses validate and canonicalize first; the signed class
-        # adds its arrows after
+        # subclasses validate first; the signed class adds its arrows after
         setters = self._setters
         setters[0](self, first)
         setters[1](self, second)
@@ -135,9 +134,8 @@ _keep_parts = Diagram._parts.__set__
 
 def _labels_of(n, m, parts, exc=NotAMatching, twice="used twice"):
     """The labels of canonical parts on [n] and [m] as a list, None at a
-    vertex no part holds. A vertex out of range raises `exc`; so does,
-    once every vertex is known to be in range, one in two parts, with
-    `twice` completing the message."""
+    vertex no part holds. A vertex out of range raises `exc`; failing
+    that, one in two parts does, `twice` completing the message."""
     labels = [None] * (n + m)
     repeated = None
     for label, part in enumerate(parts):
@@ -296,8 +294,7 @@ class SignedBrauerDiagram(BrauerDiagram):
 
 
 def canonical_arrow(edge):
-    """The edge in the reference orientation: tail first in the order
-    b1 < ... < bn < tm < ... < t1."""
+    """The edge tail first in the order b1 < ... < bn < tm < ... < t1."""
     a, b = sorted(edge)
     return (b, a) if a[0] == TOP else (a, b)
 
@@ -546,13 +543,10 @@ def disjoint_union(d1, d2):
         # color-1 vertices of both diagrams precede all color-2 vertices
         (p1, p2), (q1, q2) = d1.bottom_colors, d2.bottom_colors
         (r1, r2), (s1, s2) = d1.top_colors, d2.top_colors
-        labels = (
-            a[:p1] + b[:q1] + a[p1:n] + b[q1:n2]
-            + a[n:n + r1] + b[n2:n2 + s1] + a[n + r1:] + b[n2 + s1:]
-        )
-        return WalledBrauerDiagram._trusted(
-            (p1 + q1, p2 + q2), (r1 + s1, r2 + s2), renumbered(labels)
-        )
+        bottom = a[:p1] + b[:q1] + a[p1:n] + b[q1:n2]
+        top = a[n:n + r1] + b[n2:n2 + s1] + a[n + r1:] + b[n2 + s1:]
+        colors = (p1 + q1, p2 + q2), (r1 + s1, r2 + s2)
+        return WalledBrauerDiagram._trusted(*colors, renumbered(bottom + top))
     m = d1.m
     labels = renumbered(a[:n] + b[:n2] + a[n:] + b[n2:])
     if isinstance(d1, SignedBrauerDiagram):

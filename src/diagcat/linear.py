@@ -7,6 +7,8 @@ from math import factorial
 from .coeff import DeltaPoly
 from .compose import compose
 from .diagrams import (
+    BOTTOM,
+    TOP,
     BrauerDiagram,
     PartitionDiagram,
     SignedBrauerDiagram,
@@ -15,7 +17,6 @@ from .diagrams import (
     identity_diagram,
     is_downwards,
     is_upwards,
-    renumbered,
     transpose,
     disjoint_union,
 )
@@ -232,21 +233,26 @@ def factorize(d):
         raise UnsupportedVariant("factorization of signed diagrams is out of scope")
     if not isinstance(d, (BrauerDiagram, PartitionDiagram)):
         raise UnsupportedVariant(f"cannot factorize {type(d).__name__}")
-    n, labels = d.n, d.labels()
-    bottom, top = labels[:n], labels[n:]
-    # the labels of the through parts, in canonical order
-    through = tuple(sorted(set(bottom).intersection(top)))
+    down, up, through = [], [], []
+    for part in d.parts:
+        # a part lists its bottom vertices first
+        bot = tuple([v for v in part if v[0] == BOTTOM])
+        top = part[len(bot):]
+        if bot and top:
+            through.append(bot)
+            k = len(through)
+            down.append(bot + ((TOP, k),))
+            up.append(((BOTTOM, k),) + top)
+        else:
+            (down if bot else up).append(part)
     middle = len(through)
     if isinstance(d, WalledBrauerDiagram):
         # through edges run in the order of their bottom ends, which on a
         # walled row puts every color-1 edge before every color-2 one
-        p1 = sum(1 for x in through if bottom.index(x) < d.bottom_colors[0])
+        p1 = sum(1 for (a,) in through if d.color(a) == 1)
         middle = (p1, middle - p1)
-    # the k-th middle vertex carries the label of the k-th through part;
-    # below it the bottom labels keep their first-appearance numbering
     cls = type(d)
-    down = cls._trusted(d.bottom, middle, bottom + through)
-    return Factorization(middle, down, cls._trusted(middle, d.top, renumbered(through + top)))
+    return Factorization(middle, cls(d.bottom, middle, down), cls(middle, d.top, up))
 
 
 _AXIOM_VARIANTS = ("brauer", "partition", "temperley_lieb")
