@@ -1,9 +1,11 @@
-"""`enumerate` output is pinned byte for byte for each matching and
-partition variant: the order of the list is the sort order of the
-diagrams' parts, which no stored field of a diagram gives directly, so
-a change to the diagram values must leave it alone. The text goldens
-are in `tests/golden/`; the JSON output, about 120 KB in all, is pinned
-by its SHA-256 digest."""
+"""`enumerate` output is pinned byte for byte for each variant: the
+order of the list is the sort order of the diagrams' parts (of a
+partial injection's pairs), which no stored field of a diagram gives
+directly, so a change to the diagram values must leave it alone. The
+text goldens are in `tests/golden/`; the JSON output, about 120 KB in
+all, is pinned by its SHA-256 digest. `compose` and `taut` on oriented
+operands whose arrows point against the reference orientation, and
+`compose` on partial injections, are pinned the same way."""
 
 import hashlib
 from pathlib import Path
@@ -21,6 +23,36 @@ CASES = {
     "walled": ("2+1", "2+1", "dd2a09b70c2a54135e8ee13f811e7f7c08b1cebf2db3c0796c1f358223842075"),
     "partition": ("3", "3", "3ea96f8d89503bdbb08488beefd048b029352826907df11ebf405e3d66dff9f1"),
     "degenerate": ("3", "3", "9e3f1bc190e58e66ac4b1a29806c57d7d0a95ac801a4f93462e36a31de446e6f"),
+    "fisharp": ("2", "3", "bdf35ce072429e87ce9be021470462c8019bb4f938ade71aa7fe885336cc99e6"),
+}
+
+# argv, text output, SHA-256 of the output with --json
+COMMANDS = {
+    "signed_flipped": (
+        ["compose", "--category", "signed", "2->2:(b2>b1)(t1>t2)", "2->2:(b2>b1)(t1>t2)"],
+        "d^1 * -1 * (2->2:(b1>b2)(t2>t1))\n",
+        "0b84f9c568b0eff8591c2c48e54f4c21de58c8a26b57ef49c2fa61c204f083bc",
+    ),
+    "signed_flipped_vertical": (
+        ["compose", "--category", "signed", "3->1:(b3>b1)(b2 t1)", "3->3:(b2>b1)(b3 t1)(t2>t3)"],
+        "d^0 * 1 * (3->1:(b1>b2)(b3 t1))\n",
+        "705c0d0b126710ec2f200379115bae7db76bb628386b7439a2e9c5c9c4df82fa",
+    ),
+    "taut_signed_flipped": (
+        ["taut", "--category", "signed", "--dim", "2", "2->2:(b2>b1)(t1>t2)"],
+        "0 0 0 0\n0 -1 1 0\n0 1 -1 0\n0 0 0 0\n",
+        "17e4cdbc472d9d879c980f42aac84db3a15f98a118480eda3481b2132e80c26d",
+    ),
+    "fisharp_cycle": (
+        ["compose", "--category", "fisharp", "3->3:[b1->t2, b2->t3, b3->t1]", "3->3:[b1->t2, b2->t3, b3->t1]"],
+        "d^0 * 1 * (3->3:[b1->t3, b2->t1, b3->t2])\n",
+        "6fdc0730dbb0f51df1ab8bc396f8b10f1a2333fc3afe9db0c4c1d61e82334879",
+    ),
+    "fisharp_partial": (
+        ["compose", "--category", "fisharp", "3->2:[b1->t2, b3->t1]", "2->3:[b1->t3, b2->t1]"],
+        "d^0 * 1 * (2->2:[b1->t1, b2->t2])\n",
+        "dca18cfd7dde3d54d34d9c2bb4740513421f67c1b7c8df416d1b5d26e11cfa8d",
+    ),
 }
 
 
@@ -30,6 +62,16 @@ def test_enumerate_output_pinned(variant, capsys):
     argv = ["enumerate", "--category", variant, bottom, top]
     assert run(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"enumerate_{variant}.txt").read_text()
+    assert run(argv + ["--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == json_digest
+
+
+@pytest.mark.parametrize("case", COMMANDS)
+def test_command_output_pinned(case, capsys):
+    argv, text, json_digest = COMMANDS[case]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == text
     assert run(argv + ["--json"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == json_digest
