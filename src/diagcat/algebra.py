@@ -11,7 +11,7 @@ from .compose import compose
 from .diagrams import enumerate_diagrams
 from .errors import DimensionBudgetExceeded, UnsupportedVariant
 
-DEFAULT_BASIS_BUDGET = 250
+BASIS_BUDGET = 250
 # The largest algebra whose discriminant was measured to finish:
 # temperley_lieb n=5 (42 basis diagrams, degree 132) in about 3 s, while
 # brauer n=4 (105) gave no determinant within 250 s.
@@ -29,13 +29,13 @@ class AlgebraTable:
 
     __slots__ = ("variant", "n", "basis", "index", "table")
 
-    def __init__(self, variant, n, max_basis=DEFAULT_BASIS_BUDGET):
+    def __init__(self, variant, n):
         if variant not in _ALGEBRA_VARIANTS:
             raise UnsupportedVariant(variant)
         basis = tuple(enumerate_diagrams(variant, n, n))
-        if len(basis) > max_basis:
+        if len(basis) > BASIS_BUDGET:
             raise DimensionBudgetExceeded(
-                f"{len(basis)} basis diagrams exceed the budget {max_basis}"
+                f"{len(basis)} basis diagrams exceed the budget {BASIS_BUDGET}"
             )
         self.variant = variant
         self.n = n
@@ -69,8 +69,8 @@ class AlgebraTable:
 
 
 @lru_cache(maxsize=None)
-def build_algebra(variant, n, max_basis=DEFAULT_BASIS_BUDGET):
-    return AlgebraTable(variant, n, max_basis=max_basis)
+def build_algebra(variant, n):
+    return AlgebraTable(variant, n)
 
 
 def poly_det(matrix):

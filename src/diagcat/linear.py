@@ -354,12 +354,11 @@ def check_triangular_axioms(variant, max_size):
     for n in sizes:
         for m in sizes:
             for k in sizes:
-                for f in bases[(n, m)].diagrams:
-                    f_up, f_down = is_upwards(f), is_downwards(f)
+                fs, gs = bases[(n, m)], bases[(m, k)]
+                for f, f_up, f_down in zip(fs.diagrams, fs.upwards, fs.downwards):
                     if not (f_up or f_down):
                         continue
-                    for g in bases[(m, k)].diagrams:
-                        g_up, g_down = is_upwards(g), is_downwards(g)
+                    for g, g_up, g_down in zip(gs.diagrams, gs.upwards, gs.downwards):
                         if f_up and g_up:
                             res = compose(g, f)
                             if res.closed_count != 0 or not is_upwards(res.result):

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .linear import Morphism, morphism_compose
 
-DEFAULT_ROW_BUDGET = 4096
+ROW_BUDGET = 4096
 
 TAUT_VARIANTS = ("brauer", "walled", "partition", "temperley_lieb", "signed")
 
@@ -45,9 +45,9 @@ class TautContext:
     through parts always carry it.
     """
 
-    __slots__ = ("variant", "dim", "q", "parameter", "row_budget", "cap", "cup")
+    __slots__ = ("variant", "dim", "q", "parameter", "cap", "cup")
 
-    def __init__(self, variant, dim=None, q=None, row_budget=DEFAULT_ROW_BUDGET):
+    def __init__(self, variant, dim=None, q=None):
         if variant not in TAUT_VARIANTS:
             raise UnsupportedVariant(variant)
         cap = cup = None
@@ -72,7 +72,6 @@ class TautContext:
         self.dim = dim
         self.q = q
         self.parameter = parameter
-        self.row_budget = row_budget
         self.cap = cap
         self.cup = cup
 
@@ -150,9 +149,9 @@ def _nonzero(col):
 
 def _check_budget(ctx, d):
     n, m = d.n, d.m
-    if max(ctx.dim**m, ctx.dim**n) > ctx.row_budget:
+    if max(ctx.dim**m, ctx.dim**n) > ROW_BUDGET:
         raise DimensionBudgetExceeded(
-            f"{ctx.dim}^{max(n, m)} exceeds the row budget {ctx.row_budget}"
+            f"{ctx.dim}^{max(n, m)} exceeds the row budget {ROW_BUDGET}"
         )
 
 
@@ -238,9 +237,9 @@ def verify_taut_functoriality(ctx, max_size):
     power (times the composition sign) times the matrix of the
     composed diagram, with exact equality.
     """
-    if ctx.dim**max_size > ctx.row_budget:
+    if ctx.dim**max_size > ROW_BUDGET:
         raise DimensionBudgetExceeded(
-            f"{ctx.dim}^{max_size} exceeds the row budget {ctx.row_budget}"
+            f"{ctx.dim}^{max_size} exceeds the row budget {ROW_BUDGET}"
         )
     objects = _objects_up_to(ctx.variant, max_size)
     matrices = {}

@@ -99,18 +99,19 @@ class TestBrauerMatrices:
                 )
 
     def test_budget(self, monkeypatch):
-        ctx = TautContext("brauer", dim=10, row_budget=100)
+        # 10^4 rows exceed the budget of 4096
+        ctx = TautContext("brauer", dim=10)
         with pytest.raises(DimensionBudgetExceeded):
-            taut_matrix(ctx, identity_diagram("brauer", 3))
+            taut_matrix(ctx, identity_diagram("brauer", 4))
 
         # the sweep refuses before any hom space is enumerated
         def enumerate_forbidden(*args):
             raise AssertionError("enumerated before the budget check")
 
         monkeypatch.setattr("diagcat.taut.enumerate_diagrams", enumerate_forbidden)
-        ctx = TautContext("brauer", dim=2, row_budget=8)
+        ctx = TautContext("brauer", dim=2)
         with pytest.raises(DimensionBudgetExceeded):
-            verify_taut_functoriality(ctx, 4)
+            verify_taut_functoriality(ctx, 13)
 
     def test_variant_guard(self):
         ctx = TautContext("brauer", dim=2)
