@@ -4,7 +4,6 @@ the oriented variant from the comparison functor.
 """
 
 from .diagrams import (
-    BOTTOM,
     BrauerDiagram,
     DegeneratePartitionDiagram,
     PartialInjection,
@@ -148,12 +147,15 @@ def compose_signed(beta, alpha):
 
 
 def compose_fisharp(beta, alpha):
-    """Partial injections composed as partial functions."""
-    _check(beta, alpha, (PartialInjection,))
-    b = beta.as_dict()
-    # alpha's pairs are sorted by source, so the composite's are too
-    pairs = tuple((s, b[t]) for s, t in alpha.pairs if t in b)
-    return CompositionResult(0, PartialInjection._trusted(alpha.n, beta.m, pairs))
+    """Partial injections composed as partial functions.
+
+    Each merged part holds one middle vertex, so b_a and t_c share a
+    part exactly when alpha maps a to the vertex beta maps to c. A
+    middle vertex neither operand maps is a part of its own and counts
+    no loop.
+    """
+    _, labels, _ = _glue(beta, alpha, (PartialInjection,))
+    return CompositionResult(0, PartialInjection._trusted(alpha.n, beta.m, labels))
 
 
 def epsilon_sign(alpha):
@@ -186,9 +188,8 @@ def epsilon_sign(alpha):
     sign = _perm_sign(images)
     # an arrow pointing from larger to smaller position swaps the two
     # images of its edge, a transposition
-    for (row, i), (_, j) in alpha.arrows:
-        if (i > j) == (row == BOTTOM):
-            sign = -sign
+    if len(alpha.flips) % 2:
+        sign = -sign
     object.__setattr__(alpha, "_epsilon", sign)
     return sign
 

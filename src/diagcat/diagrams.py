@@ -6,15 +6,20 @@ the rows are [n] and [m] (with a color split for the walled variant).
 All diagram values are immutable and stored in canonical form, so that
 equality, hashing and enumeration order are purely structural.
 
-A matching or a partition is stored as its restricted-growth string
-(Knuth, TAOCP 4A, 7.2.1.5): `labels()` numbers the part holding each
-vertex of b1..bn, t1..tm, parts numbered by first appearance. With the
-rows, that flat int tuple is the value's identity. The nested parts
-(a matching's `edges`, a partition's `blocks`) are a view, derived on
-first read and kept on the value; sorting still follows the parts.
+Every value is a set partition of its two rows: a matching into its
+edges, a partition into its blocks, a partial injection into the pairs
+{b_a, t_b} it maps and singletons. It is stored as its restricted-growth
+string (Knuth, TAOCP 4A, 7.2.1.5): `labels()` numbers the part holding
+each vertex of b1..bn, t1..tm, parts numbered by first appearance. With
+the rows, that flat int tuple is the value's identity; an oriented
+value adds the labels of its edges that point against the reference
+orientation. The nested parts (a matching's `edges`, a partition's
+`blocks`) are a view, derived on first read and kept on the value; so
+are a partial injection's `pairs` and an oriented value's `arrows`, and
+sorting follows these views.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from operator import attrgetter
 
 from .errors import (
@@ -49,27 +54,29 @@ class Diagram:
     """Identity shared by every diagram value.
 
     A subclass names its identity fields once, in `_fields`: the two
-    rows and the data, in the order `_trusted` takes them, and for the
-    signed class its arrows. They are stored canonically and never
+    rows and the labels, in the order `_trusted` takes them, and for the
+    signed class its flips. They are stored canonically and never
     change. Two values are equal when they have the same class and the
     same fields, and the hash is computed once from them.
 
-    The data of a matching or a partition is `labels()`; `parts` lists
-    its parts in canonical order, each a sorted tuple of vertices, part
-    k holding the vertices labelled k. `sort_key()` and `<` read the
-    parts in place of the labels, so that values sort as their parts do.
+    `parts` lists the parts of `labels()` in canonical order, each a
+    sorted tuple of vertices, part k holding the vertices labelled k.
+    `sort_key()` and `<` read, in place of each field `_views` names,
+    the view it names (the parts, a partial injection's pairs, an
+    oriented value's arrows), so that values sort as those views do.
     """
 
     __slots__ = ("n", "m", "_hash", "_labels", "_parts")
     _fields = ("n", "m", "_labels")
+    _views = {"_labels": "parts"}
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls._fields)
-        cls._order = attrgetter(*("parts" if f == "_labels" else f for f in cls._fields))
+        cls._order = attrgetter(*(cls._views.get(f, f) for f in cls._fields))
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
 
     def __init__(self, first, second, data):
-        # subclasses validate first; the signed class adds its arrows after
+        # subclasses validate first; the signed class adds its flips after
         setters = self._setters
         setters[0](self, first)
         setters[1](self, second)
@@ -116,8 +123,8 @@ class Diagram:
     @property
     def parts(self):
         """Derived from the labels on first read and kept on the value;
-        validating constructors and enumeration keep the parts they
-        built."""
+        the constructors of matchings and partitions and enumeration
+        keep the parts they built."""
         try:
             return self._parts
         except AttributeError:
@@ -182,18 +189,27 @@ class BrauerDiagram(Diagram):
         super().__init__(n, m, labels)
         _keep_parts(self, edges)
 
+    def _ends(self):
+        """Each edge as (first end, separator, second end), in the order
+        of `edges`."""
+        return [(a, " ", b) for a, b in self.edges]
+
     def to_text(self):
-        body = "".join(
-            f"({vertex_text(a)} {vertex_text(b)})" for a, b in self.edges
+        # a walled object prints as n1+n2
+        rows = (
+            "+".join(map(str, r)) if isinstance(r, tuple) else str(r)
+            for r in (self.bottom, self.top)
         )
-        return f"{self.n}->{self.m}:{body}"
+        body = "".join(f"({vertex_text(a)}{sep}{vertex_text(b)})" for a, sep, b in self._ends())
+        return f"{'->'.join(rows)}:{body}"
 
     def to_json(self):
+        bottom, top = self.bottom, self.top
         return {
             "variant": self.variant,
-            "bottom": self.n,
-            "top": self.m,
-            "edges": [[vertex_text(a), vertex_text(b)] for a, b in self.edges],
+            "bottom": list(bottom) if isinstance(bottom, tuple) else bottom,
+            "top": list(top) if isinstance(top, tuple) else top,
+            "edges": [[vertex_text(a), vertex_text(b)] for a, _, b in self._ends()],
         }
 
 
@@ -213,90 +229,76 @@ class TemperleyLiebDiagram(BrauerDiagram):
 class SignedBrauerDiagram(BrauerDiagram):
     """Brauer diagram whose horizontal edges carry orientations.
 
-    `arrows` stores each horizontal edge as a (tail, head) pair. Values
-    with any orientation are representable; `canonicalize` rewrites to
-    the reference orientation (tail = smaller endpoint in the iota
-    order) and reports the sign picked up.
+    The reference orientation points a horizontal edge from its smaller
+    end to its larger one in the order b1 < ... < bn < tm < ... < t1.
+    `flips` lists, sorted, the labels of the horizontal edges that point
+    the other way; `arrows` is a view giving each horizontal edge as a
+    (tail, head) pair, sorted. Values with any orientation are
+    representable; `canonicalize` drops the flips and reports the sign
+    picked up.
     """
 
     variant = "signed"
-    __slots__ = ("arrows", "_epsilon")
-    _fields = ("n", "m", "_labels", "arrows")
+    __slots__ = ("flips", "_epsilon")
+    _fields = ("n", "m", "_labels", "flips")
+    _views = {"_labels": "parts", "flips": "arrows"}
 
     def __init__(self, n, m, edges, arrows=None):
         super().__init__(n, m, edges)
-        horizontal = [e for e in self.parts if e[0][0] == e[1][0]]
-        if arrows is None:
-            arrows = [canonical_arrow(e) for e in horizontal]
-        arrows = tuple(sorted(tuple(a) for a in arrows))
-        if len(arrows) != len(horizontal) or set(map(frozenset, arrows)) != set(
-            map(frozenset, horizontal)
-        ):
-            raise NotAMatching("arrows must orient exactly the horizontal edges")
-        object.__setattr__(self, "arrows", arrows)
+        flips = ()
+        if arrows is not None:
+            # each arrow as a canonical edge, and the tails of those
+            # pointing from the right end of a bottom edge or from the
+            # left end of a top one
+            ends, tails = [], []
+            try:
+                for tail, head in arrows:
+                    ends.append((tail, head) if tail < head else (head, tail))
+                    if (tail < head) == (tail[0] == TOP):
+                        tails.append(tail)
+            except (TypeError, ValueError):
+                ends = None
+            if ends is None or sorted(ends) != [e for e in self.parts if e[0][0] == e[1][0]]:
+                raise NotAMatching("arrows must orient exactly the horizontal edges")
+            labels = self._labels
+            flips = tuple(sorted([labels[i - 1 if row == BOTTOM else n + i - 1] for row, i in tails]))
+        _set_flips(self, flips)
 
     @classmethod
-    def _trusted(cls, n, m, labels, arrows=None):
-        # arrows=None stands for the reference orientation, as in __init__
-        self = super()._trusted(n, m, labels)
-        if arrows is None:
-            # the tail of a bottom arrow is its left end, of a top one its right end
-            first, arrows = {}, []
-            for k, label in enumerate(labels):
-                j = first.setdefault(label, k)
-                if j != k and (j < n) == (k < n):
-                    tail, head = (j, k) if k < n else (k, j)
-                    arrows.append((_vertex(n, tail), _vertex(n, head)))
-            arrows = tuple(sorted(arrows))
-        object.__setattr__(self, "arrows", arrows)
+    def _trusted(cls, n, m, labels, flips=()):
+        self = object.__new__(cls)
+        Diagram.__init__(self, n, m, labels)
+        _set_flips(self, flips)
         return self
 
     def canonicalize(self):
         """(sign, diagram with reference orientations); sign = (-1)^flips."""
-        flips = 0
-        fixed = []
-        for tail, head in self.arrows:
-            canon = canonical_arrow((tail, head))
-            if (tail, head) != canon:
-                flips += 1
-            fixed.append(canon)
-        if flips == 0:
+        flips = self.flips
+        if not flips:
             return 1, self
-        sign = -1 if flips % 2 else 1
-        return sign, SignedBrauerDiagram._trusted(
-            self.n, self.m, self._labels, tuple(sorted(fixed))
-        )
+        sign = -1 if len(flips) % 2 else 1
+        return sign, SignedBrauerDiagram._trusted(self.n, self.m, self._labels)
 
-    def to_text(self):
-        oriented = {frozenset(a): a for a in self.arrows}
-        parts = []
-        for a, b in self.edges:
-            arrow = oriented.get(frozenset((a, b)))
-            if arrow is None:
-                parts.append(f"({vertex_text(a)} {vertex_text(b)})")
+    def _ends(self):
+        # a horizontal edge prints tail>head; the reference tail is the
+        # left end of a bottom edge and the right end of a top one
+        flips = self.flips
+        ends = []
+        for k, (a, b) in enumerate(self.edges):
+            if a[0] != b[0]:
+                ends.append((a, " ", b))
+            elif (a[0] == TOP) != (k in flips):
+                ends.append((b, ">", a))
             else:
-                parts.append(f"({vertex_text(arrow[0])}>{vertex_text(arrow[1])})")
-        return f"{self.n}->{self.m}:{''.join(parts)}"
+                ends.append((a, ">", b))
+        return ends
 
-    def to_json(self):
-        oriented = {frozenset(a): a for a in self.arrows}
-        edges = []
-        for a, b in self.edges:
-            arrow = oriented.get(frozenset((a, b)))
-            pair = (a, b) if arrow is None else arrow
-            edges.append([vertex_text(pair[0]), vertex_text(pair[1])])
-        return {
-            "variant": self.variant,
-            "bottom": self.n,
-            "top": self.m,
-            "edges": edges,
-        }
+    @property
+    def arrows(self):
+        return tuple(sorted((a, b) for a, sep, b in self._ends() if sep == ">"))
 
 
-def canonical_arrow(edge):
-    """The edge tail first in the order b1 < ... < bn < tm < ... < t1."""
-    a, b = sorted(edge)
-    return (b, a) if a[0] == TOP else (a, b)
+_set_flips = SignedBrauerDiagram.flips.__set__
 
 
 class WalledBrauerDiagram(BrauerDiagram):
@@ -340,22 +342,6 @@ class WalledBrauerDiagram(BrauerDiagram):
         row, i = v
         split = self.bottom_colors[0] if row == BOTTOM else self.top_colors[0]
         return 1 if i <= split else 2
-
-    def to_text(self):
-        n1, n2 = self.bottom_colors
-        m1, m2 = self.top_colors
-        body = "".join(
-            f"({vertex_text(a)} {vertex_text(b)})" for a, b in self.edges
-        )
-        return f"{n1}+{n2}->{m1}+{m2}:{body}"
-
-    def to_json(self):
-        return {
-            "variant": self.variant,
-            "bottom": list(self.bottom_colors),
-            "top": list(self.top_colors),
-            "edges": [[vertex_text(a), vertex_text(b)] for a, b in self.edges],
-        }
 
 
 class PartitionDiagram(Diagram):
@@ -402,11 +388,16 @@ class DegeneratePartitionDiagram(PartitionDiagram):
 
 
 class PartialInjection(Diagram):
-    """Injection from a subset of the bottom row to a subset of the top."""
+    """Injection from a subset of the bottom row to a subset of the top.
+
+    Its parts are the pairs {b_a, t_b} it maps and the singletons of the
+    vertices it leaves out. `pairs` is a view listing each (a, b),
+    sorted, and values sort as their pairs do.
+    """
 
     variant = "fisharp"
-    __slots__ = ("pairs",)
-    _fields = ("n", "m", "pairs")
+    __slots__ = ()
+    _views = {"_labels": "pairs"}
 
     def __init__(self, n, m, pairs):
         pairs = tuple(sorted((int(a), int(b)) for a, b in pairs))
@@ -419,10 +410,17 @@ class PartialInjection(Diagram):
             raise NotInjective("repeated source vertex")
         if len(set(img)) != len(img):
             raise NotInjective("repeated target vertex")
-        super().__init__(n, m, pairs)
+        # b_a is part a - 1 and t_b joins it; an unmapped t_b starts a part
+        source, fresh = dict(zip(img, dom)), count(n)
+        labels = [*range(n)] + [source[b] - 1 if b in source else next(fresh) for b in range(1, m + 1)]
+        super().__init__(n, m, tuple(labels))
 
-    def as_dict(self):
-        return dict(self.pairs)
+    @property
+    def pairs(self):
+        n = self.n
+        return tuple(sorted(
+            (label + 1, b) for b, label in enumerate(self._labels[n:], 1) if label < n
+        ))
 
     def to_text(self):
         body = ", ".join(f"b{a}->t{b}" for a, b in self.pairs)
@@ -480,8 +478,6 @@ def is_downwards(d):
 
 def _through_from(d, row):
     """No part meets `row` twice or lies in `row` entirely."""
-    if isinstance(d, PartialInjection):
-        return len(d.pairs) == (d.n if row == BOTTOM else d.m)
     # the labels number the parts by first appearance, so those of the
     # bottom row are 0..k-1 for its k parts: they are distinct exactly
     # when the last is n - 1, and a top vertex's part meets the bottom
@@ -519,8 +515,6 @@ def transpose(d):
     """Exchange the two rows; an involution."""
     if isinstance(d, SignedBrauerDiagram):
         raise UnsupportedVariant("transpose of signed diagrams is not defined")
-    if isinstance(d, PartialInjection):
-        return PartialInjection(d.m, d.n, [(b, a) for a, b in d.pairs])
     n, labels = d.n, d._labels
     # the fields of a walled value start with the colorings, not the sizes
     return type(d)._trusted(d.top, d.bottom, renumbered(labels[n:] + labels[:n]))
@@ -532,9 +526,6 @@ def disjoint_union(d1, d2):
         raise VariantMismatch(
             f"cannot union {type(d1).__name__} with {type(d2).__name__}"
         )
-    if isinstance(d1, PartialInjection):
-        pairs = list(d1.pairs) + [(a + d1.n, b + d1.m) for a, b in d2.pairs]
-        return PartialInjection(d1.n + d2.n, d1.m + d2.m, pairs)
     # d2's labels are complemented to keep them apart from d1's until
     # the vertices, in their new order, are renumbered
     a, b = d1._labels, tuple([~x for x in d2._labels])
@@ -548,13 +539,12 @@ def disjoint_union(d1, d2):
         colors = (p1 + q1, p2 + q2), (r1 + s1, r2 + s2)
         return WalledBrauerDiagram._trusted(*colors, renumbered(bottom + top))
     m = d1.m
-    labels = renumbered(a[:n] + b[:n2] + a[n:] + b[n2:])
-    if isinstance(d1, SignedBrauerDiagram):
-        def shift(arrow):
-            return tuple([(row, i + (n if row == BOTTOM else m)) for row, i in arrow])
-
-        arrows = tuple(sorted(d1.arrows + tuple(map(shift, d2.arrows))))
-        return SignedBrauerDiagram._trusted(n + n2, m + d2.m, labels, arrows)
+    joined = a[:n] + b[:n2] + a[n:] + b[n2:]
+    labels = renumbered(joined)
+    if isinstance(d1, SignedBrauerDiagram) and (d1.flips or d2.flips):
+        new = dict(zip(joined, labels))
+        flips = sorted([new[x] for x in d1.flips] + [new[~x] for x in d2.flips])
+        return SignedBrauerDiagram._trusted(n + n2, m + d2.m, labels, tuple(flips))
     return type(d1)._trusted(n + n2, m + d2.m, labels)
 
 
@@ -609,13 +599,13 @@ def enumerate_diagrams(variant, bottom, top):
     if issubclass(cls, PartitionDiagram):
         found = [tuple(sorted(map(tuple, blocks))) for blocks in _set_partitions(points)]
     elif cls is PartialInjection:
-        out = []
-        bot = list(range(1, n + 1))
-        for k in range(min(n, m) + 1):
-            for dom in combinations(bot, k):
-                for img in _injections(k, m):
-                    out.append(PartialInjection(n, m, list(zip(dom, img))))
-        return sorted(out, key=Diagram.sort_key)
+        found = sorted(
+            tuple(zip(dom, img))
+            for k in range(min(n, m) + 1)
+            for dom in combinations(range(1, n + 1), k)
+            for img in _injections(k, m)
+        )
+        return [cls(n, m, pairs) for pairs in found]
     elif (n + m) % 2:  # no matching on an odd number of points
         pass
     elif cls is TemperleyLiebDiagram:

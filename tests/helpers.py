@@ -10,7 +10,7 @@ from diagcat.chars import (
     standard_tableaux,
     sym_character,
 )
-from diagcat.diagrams import canonical_arrow
+from diagcat.diagrams import TOP
 from diagcat.taut import RationalMatrix
 
 
@@ -286,6 +286,13 @@ def partition_compose_oracle(beta, alpha):
     return tuple(sorted(blocks)), closed, cyclic
 
 
+def fisharp_compose_oracle(beta, alpha):
+    """The pairs of beta after alpha, composing the two partial
+    injections as partial functions on their pairs."""
+    b = dict(beta.pairs)
+    return tuple((s, b[t]) for s, t in alpha.pairs if t in b)
+
+
 def check_associativity(algebra):
     """Exhaustive structure-constant associativity check of an
     AlgebraTable: (b_i b_j) b_k and b_i (b_j b_k) give the same loop
@@ -302,6 +309,12 @@ def check_associativity(algebra):
                 if (cij + c1, sij * s1, k1) != (cjk + c2, sjk * s2, k2):
                     return False
     return True
+
+
+def canonical_arrow(edge):
+    """The edge tail first in the order b1 < ... < bn < tm < ... < t1."""
+    a, b = sorted(edge)
+    return (b, a) if a[0] == TOP else (a, b)
 
 
 def is_canonical(d):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from diagcat import (
@@ -13,7 +15,7 @@ from diagcat import (
     phi_signed_to_brauer,
 )
 from diagcat.errors import ColorMismatch, ShapeMismatch, VariantMismatch
-from helpers import is_canonical, partition_compose_oracle
+from helpers import fisharp_compose_oracle, is_canonical, partition_compose_oracle
 
 
 def b(i):
@@ -552,6 +554,19 @@ class TestFISharp:
         beta = make_diagram("fisharp", 2, 2, [(1, 1)])
         res = compose_fisharp(beta, alpha)
         assert res.result == make_diagram("fisharp", 2, 2, [])
+
+    def test_against_partial_functions(self):
+        count = 0
+        for n, k, m in product(range(4), repeat=3):
+            for alpha in enumerate_diagrams("fisharp", n, k):
+                for beta in enumerate_diagrams("fisharp", k, m):
+                    res = compose_fisharp(beta, alpha)
+                    pairs = fisharp_compose_oracle(beta, alpha)
+                    assert res.closed_count == 0 and res.sign == 1 and not res.is_zero
+                    assert res.result.pairs == pairs
+                    assert res.result == make_diagram("fisharp", n, m, pairs)
+                    count += 1
+        assert count > 0
 
     def test_associativity(self):
         homs = enumerate_diagrams("fisharp", 2, 2)

@@ -5,6 +5,7 @@ import pytest
 
 from diagcat import (
     BrauerDiagram,
+    PartialInjection,
     SignedBrauerDiagram,
     TemperleyLiebDiagram,
     disjoint_union,
@@ -365,7 +366,7 @@ class TestDisjointUnion:
         assert u == identity_diagram("walled", (2, 2))
 
 
-IDENTITY_VARIANTS = ("brauer", "temperley_lieb", "walled", "signed", "partition", "degenerate")
+IDENTITY_VARIANTS = ("brauer", "temperley_lieb", "walled", "signed", "partition", "degenerate", "fisharp")
 
 
 def hom_spaces(variant, total):
@@ -378,8 +379,12 @@ def hom_spaces(variant, total):
 
 def rebuilt(cls, bottom, top, parts, arrows, rng):
     """The validating constructor on the parts in shuffled order, each
-    with its vertices shuffled."""
+    with its vertices shuffled; a partial injection's on the pairs its
+    two-vertex parts give, in shuffled order."""
     parts = [rng.sample(p, len(p)) for p in rng.sample(parts, len(parts))]
+    if cls is PartialInjection:
+        pairs = [[i for _, i in sorted(p)] for p in parts if len(p) == 2]
+        return cls(bottom, top, pairs)
     if cls is SignedBrauerDiagram:
         return cls(bottom, top, parts, rng.sample(arrows, len(arrows)))
     return cls(bottom, top, parts)
@@ -419,7 +424,7 @@ class TestLabelsIdentity:
                 arrows = list(getattr(d, "arrows", ()))
                 built = rebuilt(cls, bottom, top, d.parts, arrows, rng)
                 # a value built from its labels alone derives its parts
-                signed = [tuple(arrows)] if cls is SignedBrauerDiagram else []
+                signed = [d.flips] if cls is SignedBrauerDiagram else []
                 bare = cls._trusted(bottom, top, d.labels(), *signed)
                 assert bare.parts == built.parts == d.parts
                 assert built == d == bare
@@ -440,6 +445,14 @@ class TestLabelsIdentity:
         by_size = {}
         for bottom, top in hom_spaces(variant, 6):
             ds = enumerate_diagrams(variant, bottom, top)
+            # oriented values also with every other arrow flipped
+            ds += [
+                SignedBrauerDiagram(
+                    bottom, top, d.parts, [a[::-1] if k % 2 else a for k, a in enumerate(d.arrows, 1)]
+                )
+                for d in ds
+                if variant == "signed" and d.arrows
+            ]
             by_size.setdefault(size(bottom) + size(top), []).extend(ds)
         count = 0
         for size1, ds1 in by_size.items():
