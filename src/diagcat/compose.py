@@ -186,8 +186,8 @@ def epsilon_sign(alpha):
         images.append(2 * label + 2 if label in seen else 2 * label + 1)
         seen.add(label)
     sign = _perm_sign(images)
-    # an arrow pointing from larger to smaller position swaps the two
-    # images of its edge, a transposition
+    # a flipped arrow points from the larger position to the smaller,
+    # which swaps the two images of its edge, a transposition
     if len(alpha.flips) % 2:
         sign = -sign
     object.__setattr__(alpha, "_epsilon", sign)
