@@ -14,9 +14,9 @@ each vertex of b1..bn, t1..tm, parts numbered by first appearance. With
 the rows, that flat int tuple is the value's identity; an oriented
 value adds the labels of its edges that point against the reference
 orientation. The nested parts (a matching's `edges`, a partition's
-`blocks`) are a view, derived on first read and kept on the value; so
-are a partial injection's `pairs` and an oriented value's `arrows`, and
-sorting follows these views.
+`blocks`) are a view, derived on first read and kept on the value; a
+partial injection's `pairs` and an oriented value's `arrows` are views
+derived on each read. Sorting follows these views.
 """
 
 from itertools import combinations, count, permutations
