@@ -1,6 +1,7 @@
 """Endomorphism-algebra analysis: multiplication tables, trace-form
 Gram matrices, discriminants and semisimplicity tests at specific
-parameter values.
+parameter values. The cached hom bases and composition tables are
+shared with the tautological sweeps.
 """
 
 from functools import lru_cache
@@ -32,7 +33,7 @@ class AlgebraTable:
     def __init__(self, variant, n):
         if variant not in _ALGEBRA_VARIANTS:
             raise UnsupportedVariant(variant)
-        basis = tuple(enumerate_diagrams(variant, n, n))
+        basis = hom_basis(variant, n, n)
         if len(basis) > BASIS_BUDGET:
             raise DimensionBudgetExceeded(
                 f"{len(basis)} basis diagrams exceed the budget {BASIS_BUDGET}"
@@ -41,14 +42,7 @@ class AlgebraTable:
         self.n = n
         self.basis = basis
         self.index = {d: i for i, d in enumerate(basis)}
-        table = []
-        for di in basis:
-            row = []
-            for dj in basis:
-                res = compose(di, dj)
-                row.append((res.closed_count, res.sign, self.index[res.result]))
-            table.append(tuple(row))
-        self.table = tuple(table)
+        self.table = composition_table(variant, n, n, n)
 
     @property
     def dimension(self):
@@ -66,6 +60,35 @@ class AlgebraTable:
         """G[i][j] = trace of left multiplication by basis[i] o basis[j]."""
         traces = [self.left_multiplication_trace(k) for k in range(self.dimension)]
         return [[traces[k]._shifted(c, s) for c, s, k in row] for row in self.table]
+
+
+@lru_cache(maxsize=None)
+def hom_basis(variant, x, y):
+    """The basis diagrams of Hom(x, y), in enumeration order."""
+    return tuple(enumerate_diagrams(variant, x, y))
+
+
+@lru_cache(maxsize=None)
+def composition_table(variant, x, y, z):
+    """table[i][j] = (closed, sign, k): hom_basis(y, z)[i] after
+    hom_basis(x, y)[j] is d^closed * sign * hom_basis(x, z)[k].
+
+    Equal entries are one shared tuple, so a table costs about one
+    pointer per pair. The algebra on [n] and every tautological sweep
+    through the triple read the same table.
+    """
+    index = {d: k for k, d in enumerate(hom_basis(variant, x, z))}
+    alphas = hom_basis(variant, x, y)
+    entries = {}
+    table = []
+    for beta in hom_basis(variant, y, z):
+        row = []
+        for alpha in alphas:
+            res = compose(beta, alpha)
+            entry = (res.closed_count, res.sign, index[res.result])
+            row.append(entries.setdefault(entry, entry))
+        table.append(tuple(row))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,10 @@ entry can overflow.
 """
 
 from fractions import Fraction
+from itertools import accumulate
+from math import comb, factorial, prod
 
-from .compose import compose
+from .algebra import composition_table, hom_basis
 from .diagrams import (
     BOTTOM,
     TOP,
@@ -27,6 +29,7 @@ from .errors import (
 from .linear import Morphism, morphism_compose
 
 ROW_BUDGET = 4096
+PAIR_BUDGET = 200_000
 
 TAUT_VARIANTS = ("brauer", "walled", "partition", "temperley_lieb", "signed")
 
@@ -229,47 +232,91 @@ def _objects_up_to(variant, max_size):
     return list(range(max_size + 1))
 
 
+def _hom_size(variant, x, y):
+    """|Hom(x, y)| by the counting formulas: (n1+m2)! matchings between
+    the two colour classes of a walled object, Bell(n+m) set partitions,
+    Catalan((n+m)/2) planar and (n+m-1)!! other perfect matchings."""
+    if variant == "walled":
+        (n1, n2), (m1, m2) = x, y
+        return factorial(n1 + m2) if n1 + m2 == n2 + m1 else 0
+    total = x + y
+    if variant == "partition":
+        bell = [1]  # row `total` of the Bell triangle starts with Bell(total)
+        for _ in range(total):
+            bell = list(accumulate(bell, initial=bell[-1]))
+        return bell[0]
+    if total % 2:
+        return 0
+    if variant == "temperley_lieb":
+        return comb(total, total // 2) // (total // 2 + 1)
+    return prod(range(1, total, 2))
+
+
+def _check_pair_budget(variant, max_size):
+    """Refuse a sweep of more than PAIR_BUDGET pairs before any hom space
+    is enumerated. The count grows with the size, so sizes are counted
+    upwards and the first one past the budget stops the count."""
+    for size in range(max_size + 1):
+        objects = _objects_up_to(variant, size)
+        hom = {(x, y): _hom_size(variant, x, y) for x in objects for y in objects}
+        pairs = sum(hom[x, y] * hom[y, z] for x in objects for y in objects for z in objects)
+        if pairs > PAIR_BUDGET:
+            raise DimensionBudgetExceeded(
+                f"{pairs} pairs up to size {size} exceed the pair budget {PAIR_BUDGET}"
+            )
+
+
 def verify_taut_functoriality(ctx, max_size):
     """Exhaustively compare matrix products with composed diagrams.
 
     For every composable pair of diagrams with object sizes at most
     max_size, the product of the matrices must equal the parameter
     power (times the composition sign) times the matrix of the
-    composed diagram, with exact equality.
+    composed diagram, with exact equality. The hom bases and
+    compositions come from the cached tables of `diagcat.algebra`, so
+    sweeps at other dimensions or q, and the algebras on [n], compose
+    each pair once; the products are computed on every sweep.
+
+    A sweep whose tensor powers exceed ROW_BUDGET rows, or whose pair
+    count exceeds PAIR_BUDGET, is refused with DimensionBudgetExceeded
+    before any hom space is enumerated.
     """
     if ctx.dim**max_size > ROW_BUDGET:
         raise DimensionBudgetExceeded(
             f"{ctx.dim}^{max_size} exceeds the row budget {ROW_BUDGET}"
         )
-    objects = _objects_up_to(ctx.variant, max_size)
-    matrices = {}
-    homs = {}
-    for x in objects:
-        for y in objects:
-            ds = enumerate_diagrams(ctx.variant, x, y)
-            homs[(x, y)] = ds
-            for d in ds:
-                matrices[d] = _matrix(ctx, d)
+    variant = ctx.variant
+    _check_pair_budget(variant, max_size)
+    objects = _objects_up_to(variant, max_size)
+    matrices = {
+        (x, y): [_matrix(ctx, d) for d in hom_basis(variant, x, y)]
+        for x in objects
+        for y in objects
+    }
 
-    # the same (result, sign, loop count) recurs across many pairs
-    expected = {}
+    # per (x, z), the scaled matrix of each (closed, sign, k) that occurs
+    expected = {(x, z): {} for x in objects for z in objects}
     checked = 0
     failures = []
     for x in objects:
         for y in objects:
+            alphas, left = hom_basis(variant, x, y), matrices[x, y]
             for z in objects:
-                for alpha in homs[(x, y)]:
-                    ma = matrices[alpha]
-                    for beta in homs[(y, z)]:
-                        res = compose(beta, alpha)
-                        key = (res.result, res.sign, res.closed_count)
-                        rhs = expected.get(key)
+                betas, right = hom_basis(variant, y, z), matrices[y, z]
+                if not (alphas and betas):
+                    continue
+                target, scaled = matrices[x, z], expected[x, z]
+                table = composition_table(variant, x, y, z)
+                for j, (alpha, ma) in enumerate(zip(alphas, left)):
+                    for beta, mb, row in zip(betas, right, table):
+                        entry = row[j]
+                        rhs = scaled.get(entry)
                         if rhs is None:
-                            scale = res.sign * ctx.parameter**res.closed_count
-                            rhs = expected[key] = matrices[res.result].scaled(scale)
-                        if matrices[beta] @ ma != rhs:
+                            closed, sign, k = entry
+                            rhs = scaled[entry] = target[k].scaled(sign * ctx.parameter**closed)
+                        if mb @ ma != rhs:
                             failures.append((alpha.to_text(), beta.to_text()))
-                        checked += 1
+                checked += len(alphas) * len(betas)
 
     return {
         "category": ctx.variant,

@@ -1,11 +1,15 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from diagcat import compose, enumerate_diagrams
 from diagcat.algebra import (
     build_algebra,
+    composition_table,
     discriminant,
     discriminant_rational_roots,
+    hom_basis,
     is_semisimple_at,
     poly_det,
 )
@@ -98,6 +102,41 @@ def radical_dimension_oracle(variant, n, delta):
         power, _ = rref(nxt)
     assert not power, "trace-form kernel ideal is not nilpotent"
     return len(span)
+
+
+# the objects of size at most 2 of each variant with a tautological functor
+SMALL_OBJECTS = {
+    "brauer": range(3),
+    "partition": range(3),
+    "temperley_lieb": range(3),
+    "signed": range(3),
+    "walled": [(a, total - a) for total in range(3) for a in range(total + 1)],
+}
+
+
+class TestCompositionTable:
+    @pytest.mark.parametrize("variant", SMALL_OBJECTS)
+    def test_agrees_with_compose(self, variant):
+        objects = SMALL_OBJECTS[variant]
+        signs = set()
+        for x, y, z in product(objects, repeat=3):
+            alphas, betas = hom_basis(variant, x, y), hom_basis(variant, y, z)
+            composites = hom_basis(variant, x, z)
+            assert alphas == tuple(enumerate_diagrams(variant, x, y))
+            table = composition_table(variant, x, y, z)
+            assert [len(row) for row in table] == [len(alphas)] * len(betas)
+            for beta, row in zip(betas, table):
+                for alpha, (closed, sign, k) in zip(alphas, row):
+                    res = compose(beta, alpha)
+                    assert (closed, sign, composites[k]) == (res.closed_count, res.sign, res.result)
+                    signs.add(sign)
+        assert signs == ({1, -1} if variant == "signed" else {1})
+
+    @pytest.mark.parametrize(
+        "variant,n", [("brauer", 3), ("partition", 2), ("temperley_lieb", 3), ("signed", 2)]
+    )
+    def test_algebra_reads_the_table(self, variant, n):
+        assert build_algebra(variant, n).table == composition_table(variant, n, n, n)
 
 
 class TestAlgebraTables:

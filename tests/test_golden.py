@@ -5,7 +5,9 @@ directly, so a change to the diagram values must leave it alone. The
 text goldens are in `tests/golden/`; the JSON output, about 120 KB in
 all, is pinned by its SHA-256 digest. `compose` and `taut` on oriented
 operands whose arrows point against the reference orientation, and
-`compose` on partial injections, are pinned the same way."""
+`compose` on partial injections, are pinned the same way, and so are
+small `verify --taut` sweeps, which read the shared composition
+tables."""
 
 import hashlib
 from pathlib import Path
@@ -56,6 +58,23 @@ COMMANDS = {
 }
 
 
+# `verify --taut --max-size 2 --json`: the context's flags, SHA-256 of the output
+TAUT_SWEEPS = {
+    "partition": (
+        ["--category", "partition", "--dim", "2"],
+        "0c9065022806101d9a0c6725ffa93031f2104c792d9b7e42947e746da6773850",
+    ),
+    "signed": (
+        ["--category", "signed", "--dim", "2"],
+        "94900687c3ebcae77c6d3b129015fdf42bc64b17431bcd7bb6189de937906591",
+    ),
+    "temperley_lieb": (
+        ["--category", "temperley_lieb", "--q", "2/3"],
+        "37b8b2b06593bb7ddec52a15f9726eff3ecd5933868d5e64c3b8901f45b2e86c",
+    ),
+}
+
+
 @pytest.mark.parametrize("variant", CASES)
 def test_enumerate_output_pinned(variant, capsys):
     bottom, top, json_digest = CASES[variant]
@@ -73,5 +92,13 @@ def test_command_output_pinned(case, capsys):
     assert run(argv) == 0
     assert capsys.readouterr().out == text
     assert run(argv + ["--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == json_digest
+
+
+@pytest.mark.parametrize("case", TAUT_SWEEPS)
+def test_taut_sweep_pinned(case, capsys):
+    flags, json_digest = TAUT_SWEEPS[case]
+    assert run(["verify", "--taut", *flags, "--max-size", "2", "--json"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == json_digest

@@ -9,10 +9,16 @@ import pytest
 
 import diagcat
 from diagcat import enumerate_diagrams, identity_diagram, make_diagram, transpose
+from diagcat.algebra import build_algebra, composition_table, hom_basis
 from diagcat.errors import DimensionBudgetExceeded, VariantMismatch
 from diagcat.taut import (
+    TAUT_VARIANTS,
     RationalMatrix,
     TautContext,
+    _check_pair_budget,
+    _hom_size,
+    _matrix,
+    _objects_up_to,
     check_p2_p0_surjectivity,
     taut_matrix,
     verify_taut_functoriality,
@@ -108,10 +114,40 @@ class TestBrauerMatrices:
         def enumerate_forbidden(*args):
             raise AssertionError("enumerated before the budget check")
 
+        hom_basis.cache_clear()
         monkeypatch.setattr("diagcat.taut.enumerate_diagrams", enumerate_forbidden)
-        ctx = TautContext("brauer", dim=2)
-        with pytest.raises(DimensionBudgetExceeded):
-            verify_taut_functoriality(ctx, 13)
+        monkeypatch.setattr("diagcat.algebra.enumerate_diagrams", enumerate_forbidden)
+        oversized = [
+            (TautContext("brauer", dim=2), 13),  # 2^13 rows
+            # past the pair budget, while 1^k, 0^k and 2^12 rows are not
+            (TautContext("brauer", dim=2), 12),
+            (TautContext("brauer", dim=1), 10**6),
+            (TautContext("partition", dim=1), 5),
+            (TautContext("partition", dim=0), 5),
+            (TautContext("walled", dim=1), 6),
+            (TautContext("temperley_lieb", q=2), 7),
+        ]
+        for ctx, size in oversized:
+            with pytest.raises(DimensionBudgetExceeded):
+                verify_taut_functoriality(ctx, size)
+        # the patched name is the one the sweep enumerates through
+        with pytest.raises(AssertionError, match="enumerated"):
+            verify_taut_functoriality(TautContext("brauer", dim=2), 1)
+
+    def test_pair_budget_bounds(self):
+        # the closed-form sizes are those of the enumerated hom spaces
+        for variant in TAUT_VARIANTS:
+            objects = _objects_up_to(variant, 3)
+            for x in objects:
+                for y in objects:
+                    assert _hom_size(variant, x, y) == len(enumerate_diagrams(variant, x, y))
+        # the largest sweep of each variant that the budget admits
+        for variant, size in [
+            ("brauer", 4), ("signed", 4), ("partition", 3), ("walled", 5), ("temperley_lieb", 6)
+        ]:
+            _check_pair_budget(variant, size)
+            with pytest.raises(DimensionBudgetExceeded):
+                _check_pair_budget(variant, size + 1)
 
     def test_variant_guard(self):
         ctx = TautContext("brauer", dim=2)
@@ -229,6 +265,46 @@ class TestFunctoriality:
                 TautContext("temperley_lieb", q=q), 3
             )
             assert rep["pass"], rep["failures"][:3]
+
+
+    def test_wrong_matrix_is_caught(self, monkeypatch):
+        ctx = TautContext("brauer", dim=2)
+        pairs = verify_taut_functoriality(ctx, 2)["pairs_checked"]
+        swap = "2->2:(b1 t2)(b2 t1)"
+
+        def doubled(ctx, d):
+            m = _matrix(ctx, d)
+            return m.scaled(2) if d.to_text() == swap else m
+
+        monkeypatch.setattr("diagcat.taut._matrix", doubled)
+        rep = verify_taut_functoriality(ctx, 2)
+        assert rep["pass"] is False
+        assert rep["pairs_checked"] == pairs == 21
+        # every pair with the swap as a factor, in x, y, z, alpha, beta
+        # order, but the two with the identity: there the composite is
+        # the swap too, so both sides double
+        cup, cap = "0->2:(t1 t2)", "2->0:(b1 b2)"
+        e = "2->2:(b1 b2)(t1 t2)"
+        assert rep["failures"] == [
+            (cup, swap),
+            (swap, cap),
+            (e, swap),
+            (swap, e),
+            (swap, swap),
+        ]
+
+    def test_cold_and_warm_reports_agree(self):
+        for ctx, size in [
+            (TautContext("partition", dim=2), 2),
+            (TautContext("walled", dim=2), 3),
+            (TautContext("signed", dim=2), 3),
+            (TautContext("temperley_lieb", q=Fraction(2, 3)), 3),
+        ]:
+            for memo in (hom_basis, composition_table, build_algebra):
+                memo.cache_clear()
+            cold = verify_taut_functoriality(ctx, size)
+            assert verify_taut_functoriality(ctx, size) == cold
+            assert cold["pass"], cold["failures"][:3]
 
 
 class TestP2P0:
