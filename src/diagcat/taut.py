@@ -29,6 +29,9 @@ from .errors import (
 from .linear import Morphism, morphism_compose
 
 ROW_BUDGET = 4096
+# Walled size 5 (123,483 pairs) was measured at 3.6 s at dim 2, while
+# temperley_lieb size 7 (464,174) did not finish in 300 s and brauer
+# size 5 (1,165,230) took 17.7 s at dim 1.
 PAIR_BUDGET = 200_000
 
 TAUT_VARIANTS = ("brauer", "walled", "partition", "temperley_lieb", "signed")
