@@ -4,13 +4,17 @@ engine.
 
 Matrices act on pure-tensor bases ordered lexicographically with the
 first factor most significant. They are stored column-sparse with
-Python `int` or `Fraction` entries, so every product is exact and no
-entry can overflow.
+Python `int` or `Fraction` entries. The functoriality sweep scales
+them to integers and packs each column into one Python int, an entry
+to a field whose width is chosen from a bound on every product entry,
+so that one big-int product covers an alpha and every beta at once;
+products stay exact, and they are compared with their expected values
+byte for byte, never by hash.
 """
 
 from fractions import Fraction
-from itertools import accumulate
-from math import comb, factorial, prod
+from itertools import accumulate, chain
+from math import comb, factorial, gcd, lcm, prod
 
 from .algebra import composition_table, hom_basis
 from .diagrams import (
@@ -84,10 +88,7 @@ class TautContext:
 
 class RationalMatrix:
     """Exact matrix stored by columns: column j is a dict from row index
-    to an `int` or `Fraction`. Absent entries are zero; a stored zero
-    (left by cancellation in a product) is equal to an absent one.
-    Columns are never modified after construction, so a product may
-    share a column with its left factor."""
+    to an `int` or `Fraction`. Absent entries are zero."""
 
     __slots__ = ("rows", "cols", "columns")
 
@@ -107,50 +108,8 @@ class RationalMatrix:
                 dense[i][j] = Fraction(v)
         return dense
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                a == b or _nonzero(a) == _nonzero(b)
-                for a, b in zip(self.columns, other.columns)
-            )
-        )
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self!r} by {other!r}")
-        left = self.columns
-        out = []
-        for col in other.columns:
-            if len(col) == 1:
-                [(k, w)] = col.items()
-                out.append(left[k] if w == 1 else {i: v * w for i, v in left[k].items()})
-                continue
-            acc = {}
-            for k, w in col.items():
-                for i, v in left[k].items():
-                    acc[i] = acc.get(i, 0) + v * w
-            out.append(acc)
-        return RationalMatrix(self.rows, other.cols, out)
-
-    def scaled(self, c):
-        if c == 1:
-            return self
-        return RationalMatrix(
-            self.rows,
-            self.cols,
-            [{i: v * c for i, v in col.items()} for col in self.columns],
-        )
-
     def __repr__(self):
         return f"<RationalMatrix {self.rows}x{self.cols}>"
-
-
-def _nonzero(col):
-    return {i: v for i, v in col.items() if v}
 
 
 def _check_budget(ctx, d):
@@ -262,11 +221,66 @@ def _check_pair_budget(variant, max_size):
     for size in range(max_size + 1):
         objects = _objects_up_to(variant, size)
         hom = {(x, y): _hom_size(variant, x, y) for x in objects for y in objects}
-        pairs = sum(hom[x, y] * hom[y, z] for x in objects for y in objects for z in objects)
+        # the pairs through y are (pairs into y) * (pairs out of y)
+        pairs = sum(
+            sum(hom[x, y] for x in objects) * sum(hom[y, z] for z in objects) for y in objects
+        )
         if pairs > PAIR_BUDGET:
             raise DimensionBudgetExceeded(
                 f"{pairs} pairs up to size {size} exceed the pair budget {PAIR_BUDGET}"
             )
+
+
+def _pack(matrix, scale, width):
+    """The matrix times `scale` (which makes it integral), with each
+    entry packed into a field of `width` bits.
+
+    Returns the columns whose only entry is 1, as (c, r); the other
+    columns with entries, as (c, [(r, entry), ...]); and the bytes of
+    each column, entry r in bytes [r * width/8, (r+1) * width/8), little
+    endian and biased by 2^(width-1) so that every field is
+    nonnegative."""
+    size, half = width // 8, 1 << width - 1
+    zero = half.to_bytes(size, "little") * matrix.rows
+    units, sums, column_bytes = [], [], []
+    for c, col in enumerate(matrix.columns):
+        if not col:
+            column_bytes.append(zero)
+            continue
+        col = [(r, v.numerator * (scale // v.denominator)) for r, v in col.items()]
+        if len(col) == 1 and col[0][1] == 1:
+            units.append((c, col[0][0]))
+        else:
+            sums.append((c, col))
+        fields = bytearray(zero)
+        for r, v in col:
+            fields[r * size : (r + 1) * size] = (v + half).to_bytes(size, "little")
+        column_bytes.append(bytes(fields))
+    return units, sums, column_bytes
+
+
+def _scaled(packed, factor, width):
+    """The column bytes of a packed matrix times a rational factor, or
+    b"" for each column if an entry of the product would not be an
+    integer or not fit its field. A matrix with rows has no such empty
+    column, so a product never equals a matrix that does not pack."""
+    units, sums, column_bytes = packed
+    num, den = factor.numerator, factor.denominator
+    if num == den:
+        return column_bytes
+    values = [v for _, col in sums for _, v in col]
+    if units:
+        values.append(1)
+    if gcd(*values) % den or max(map(abs, values), default=0) * abs(num) >= den << width - 1:
+        return [b""] * len(column_bytes)
+    whole = b"".join(column_bytes)
+    if not whole:  # no entries
+        return column_bytes
+    unit = (1 << width - 1).to_bytes(width // 8, "little")
+    bias = int.from_bytes(unit * (len(whole) // len(unit)), "little")
+    whole = ((int.from_bytes(whole, "little") - bias) * num // den + bias).to_bytes(len(whole), "little")
+    length = len(whole) // len(column_bytes)
+    return [whole[i : i + length] for i in range(0, len(whole), length)]
 
 
 def verify_taut_functoriality(ctx, max_size):
@@ -280,11 +294,29 @@ def verify_taut_functoriality(ctx, max_size):
     sweeps at other dimensions or q, and the algebras on [n], compose
     each pair once; the products are computed on every sweep.
 
+    The products are computed on packed integers (Kronecker
+    substitution). Every matrix is scaled by D, the lcm of the entry
+    denominators, and each entry gets a field of W bits, W a multiple
+    of 8 with 2^(W-1) above the largest entry a product can have,
+    dim^max_size * (max |D * entry|)^2, so that an entry never leaves
+    its field and packing a product gives the product of the packings.
+    Column k of every beta in Hom(y, z) is packed side by side into one
+    int, once per sweep; for an alpha in Hom(x, y), column c of its
+    products with all those betas is then the sum over k of
+    alpha[k, c] times the k-th int. The bytes of these columns are
+    compared exactly, never hashed, with the expected
+    D^2 * sign * parameter^closed * M(composite) of every pair, in the
+    same layout. An expected matrix with an entry that is not an
+    integer or does not fit its field is not packed: no product can
+    equal it, so every pair that reads it fails. Only an alpha whose
+    bytes differ is compared beta by beta, to list its failures.
+
     A sweep whose tensor powers exceed ROW_BUDGET rows, or whose pair
     count exceeds PAIR_BUDGET, is refused with DimensionBudgetExceeded
     before any hom space is enumerated.
     """
-    if ctx.dim**max_size > ROW_BUDGET:
+    # any dim >= 2 passes the budget by that exponent
+    if ctx.dim ** min(max_size, ROW_BUDGET.bit_length()) > ROW_BUDGET:
         raise DimensionBudgetExceeded(
             f"{ctx.dim}^{max_size} exceeds the row budget {ROW_BUDGET}"
         )
@@ -296,30 +328,57 @@ def verify_taut_functoriality(ctx, max_size):
         for x in objects
         for y in objects
     }
+    values = [v for ms in matrices.values() for m in ms for col in m.columns for v in col.values()]
+    scale = lcm(*(v.denominator for v in values))
+    bound = int(max(map(abs, values), default=0) * scale)
+    width = 8 * ((max(1, ctx.dim**max_size) * bound**2).bit_length() // 8 + 1)
+    unit = (1 << width - 1).to_bytes(width // 8, "little")  # a zero field
+    packed = {key: [_pack(m, scale, width) for m in ms] for key, ms in matrices.items()}
+    # per hom space, column k of every diagram side by side, diagram i in
+    # fields [i*rows, (i+1)*rows): as bytes and as a signed int
+    stacks = {}
+    for key, ps in packed.items():
+        if ps:
+            zero = unit * (len(ps) * matrices[key][0].rows)
+            offset = int.from_bytes(zero, "little")
+            stacked = [b"".join(column) for column in zip(*[p[2] for p in ps])]
+            stack = [int.from_bytes(c, "little") - offset for c in stacked]
+            stacks[key] = zero, offset, stacked, stack
 
-    # per (x, z), the scaled matrix of each (closed, sign, k) that occurs
+    # per (x, z), the column bytes of each (closed, sign, k) that occurs
     expected = {(x, z): {} for x in objects for z in objects}
     checked = 0
     failures = []
     for x in objects:
         for y in objects:
-            alphas, left = hom_basis(variant, x, y), matrices[x, y]
+            alphas, left = hom_basis(variant, x, y), packed[x, y]
             for z in objects:
-                betas, right = hom_basis(variant, y, z), matrices[y, z]
+                betas = hom_basis(variant, y, z)
                 if not (alphas and betas):
                     continue
-                target, scaled = matrices[x, z], expected[x, z]
-                table = composition_table(variant, x, y, z)
-                for j, (alpha, ma) in enumerate(zip(alphas, left)):
-                    for beta, mb, row in zip(betas, right, table):
-                        entry = row[j]
-                        rhs = scaled.get(entry)
-                        if rhs is None:
-                            closed, sign, k = entry
-                            rhs = scaled[entry] = target[k].scaled(sign * ctx.parameter**closed)
-                        if mb @ ma != rhs:
-                            failures.append((alpha.to_text(), beta.to_text()))
                 checked += len(alphas) * len(betas)
+                table = composition_table(variant, x, y, z)
+                want, target = expected[x, z], packed[x, z]
+                for entry in set().union(*table).difference(want):
+                    closed, sign, k = entry
+                    factor = sign * ctx.parameter**closed * scale
+                    want[entry] = _scaled(target[k], factor, width)
+
+                zero, offset, stacked, stack = stacks[y, z]
+                cols, length = matrices[x, y][0].cols, len(zero) // len(betas)
+                for alpha, (units, sums, *_), entries in zip(alphas, left, zip(*table)):
+                    # column c of alpha's product with every beta
+                    got = [zero] * cols
+                    for c, k in units:
+                        got[c] = stacked[k]
+                    for c, col in sums:
+                        got[c] = (sum([stack[k] * a for k, a in col]) + offset).to_bytes(len(zero), "little")
+                    ws = [want[e] for e in entries]
+                    if b"".join(got) == b"".join(chain.from_iterable(zip(*ws))):
+                        continue
+                    for i, (beta, w) in enumerate(zip(betas, ws)):
+                        if any(g[i * length : (i + 1) * length] != wc for g, wc in zip(got, w)):
+                            failures.append((alpha.to_text(), beta.to_text()))
 
     return {
         "category": ctx.variant,

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import permutations
 
+from diagcat import taut
+from diagcat.algebra import composition_table, hom_basis
 from diagcat.chars import (
     check_partition,
     class_size,
@@ -330,6 +332,93 @@ def transposed(matrix):
         for i, v in col.items():
             out[i][j] = v
     return RationalMatrix(matrix.cols, matrix.rows, out)
+
+
+# -- column-sparse products: the oracle for the packed taut sweep
+
+
+def matmul(left, right):
+    """The product of two column-sparse RationalMatrix values, one dict
+    column at a time. A column of the product may be a column of the
+    left factor itself, since no column is modified after it is made."""
+    if left.cols != right.rows:
+        raise ValueError(f"cannot multiply {left!r} by {right!r}")
+    out = []
+    for col in right.columns:
+        if len(col) == 1:
+            [(k, w)] = col.items()
+            out.append(left.columns[k] if w == 1 else {i: v * w for i, v in left.columns[k].items()})
+            continue
+        acc = {}
+        for k, w in col.items():
+            for i, v in left.columns[k].items():
+                acc[i] = acc.get(i, 0) + v * w
+        out.append(acc)
+    return RationalMatrix(left.rows, right.cols, out)
+
+
+def scaled(matrix, c):
+    """The matrix times the scalar c."""
+    if c == 1:
+        return matrix
+    return RationalMatrix(
+        matrix.rows,
+        matrix.cols,
+        [{i: v * c for i, v in col.items()} for col in matrix.columns],
+    )
+
+
+def _nonzero(col):
+    return {i: v for i, v in col.items() if v}
+
+
+def matrices_equal(a, b):
+    """Entrywise equality; a stored zero equals an absent entry."""
+    return (
+        a.rows == b.rows
+        and a.cols == b.cols
+        and all(x == y or _nonzero(x) == _nonzero(y) for x, y in zip(a.columns, b.columns))
+    )
+
+
+def taut_sweep_oracle(ctx, max_size):
+    """The report of `verify_taut_functoriality`, from one dict product
+    and one comparison per pair over the same composition tables. The
+    matrices are built through `diagcat.taut._matrix` as the sweep
+    reads it, so a monkeypatched builder reaches both."""
+    variant = ctx.variant
+    objects = taut._objects_up_to(variant, max_size)
+    matrices = {
+        (x, y): [taut._matrix(ctx, d) for d in hom_basis(variant, x, y)]
+        for x in objects
+        for y in objects
+    }
+    checked = 0
+    failures = []
+    for x in objects:
+        for y in objects:
+            alphas, left = hom_basis(variant, x, y), matrices[x, y]
+            for z in objects:
+                betas, right = hom_basis(variant, y, z), matrices[y, z]
+                if not (alphas and betas):
+                    continue
+                table = composition_table(variant, x, y, z)
+                for j, (alpha, ma) in enumerate(zip(alphas, left)):
+                    for i, (beta, mb) in enumerate(zip(betas, right)):
+                        closed, sign, k = table[i][j]
+                        rhs = scaled(matrices[x, z][k], sign * ctx.parameter**closed)
+                        if not matrices_equal(matmul(mb, ma), rhs):
+                            failures.append((alpha.to_text(), beta.to_text()))
+                checked += len(alphas) * len(betas)
+    return {
+        "category": ctx.variant,
+        "dim": ctx.dim,
+        "parameter": str(ctx.parameter),
+        "max_size": max_size,
+        "pairs_checked": checked,
+        "failures": failures,
+        "pass": not failures,
+    }
 
 
 # -- polynomials in d as plain tuples of Fractions, constant term first,

@@ -15,7 +15,14 @@ from diagcat import (
     phi_signed_to_brauer,
 )
 from diagcat.errors import ColorMismatch, ShapeMismatch, VariantMismatch
-from helpers import fisharp_compose_oracle, is_canonical, partition_compose_oracle
+from helpers import (
+    fisharp_compose_oracle,
+    is_canonical,
+    matmul,
+    matrices_equal,
+    partition_compose_oracle,
+    scaled,
+)
 
 
 def b(i):
@@ -449,9 +456,9 @@ class TestSignedComposition:
                 continue
             alpha, beta = random_signed(n, m), random_signed(m, k)
             res = compose_signed(beta, alpha)
-            lhs = taut_matrix(ctx, beta) @ taut_matrix(ctx, alpha)
-            rhs = taut_matrix(ctx, res.result).scaled(res.sign * 2**res.closed_count)
-            assert lhs == rhs, (alpha, beta)
+            lhs = matmul(taut_matrix(ctx, beta), taut_matrix(ctx, alpha))
+            rhs = scaled(taut_matrix(ctx, res.result), res.sign * 2**res.closed_count)
+            assert matrices_equal(lhs, rhs), (alpha, beta)
             checked += 1
 
     def test_associativity_signed(self):

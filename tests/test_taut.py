@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -23,7 +24,7 @@ from diagcat.taut import (
     taut_matrix,
     verify_taut_functoriality,
 )
-from helpers import transposed
+from helpers import matmul, matrices_equal, scaled, taut_sweep_oracle, transposed
 
 
 def b(i):
@@ -48,7 +49,7 @@ class TestBrauerMatrices:
         ctx = TautContext("brauer", dim=3)
         cup = make_diagram("brauer", 0, 2, [(t(1), t(2))])
         cap = make_diagram("brauer", 2, 0, [(b(1), b(2))])
-        prod = taut_matrix(ctx, cap) @ taut_matrix(ctx, cup)
+        prod = matmul(taut_matrix(ctx, cap), taut_matrix(ctx, cup))
         assert prod.entries == [[Fraction(3)]]
 
     def test_first_example_action(self):
@@ -94,7 +95,7 @@ class TestBrauerMatrices:
         for p1 in mats:
             for p2 in mats:
                 composed = tuple(p2[p1[i] - 1] for i in range(n))
-                assert (mats[p2] @ mats[p1]).entries == mats[composed].entries
+                assert matmul(mats[p2], mats[p1]).entries == mats[composed].entries
 
     def test_transpose_is_matrix_transpose(self):
         ctx = TautContext("brauer", dim=2)
@@ -149,6 +150,19 @@ class TestBrauerMatrices:
             with pytest.raises(DimensionBudgetExceeded):
                 _check_pair_budget(variant, size + 1)
 
+    def test_huge_size_is_refused_at_once(self):
+        # the verdict and message of 10^3000000 > 4096, without the power;
+        # 2^12 rows pass the row budget, so the pair budget refuses that one
+        start = time.perf_counter()
+        with pytest.raises(DimensionBudgetExceeded, match=r"^10\^3000000 exceeds the row budget 4096$"):
+            verify_taut_functoriality(TautContext("brauer", dim=10), 3_000_000)
+        assert time.perf_counter() - start < 0.2
+        for dim, size in [(2, 12), (2, 13), (4097, 1), (2, 10**9)]:
+            with pytest.raises(DimensionBudgetExceeded) as refused:
+                verify_taut_functoriality(TautContext("brauer", dim=dim), size)
+            row_refusal = str(refused.value) == f"{dim}^{size} exceeds the row budget 4096"
+            assert row_refusal == (dim**min(size, 20) > 4096)
+
     def test_variant_guard(self):
         ctx = TautContext("brauer", dim=2)
         with pytest.raises(VariantMismatch):
@@ -197,7 +211,7 @@ class TestSignedMatrices:
         ctx = TautContext("signed", dim=2)
         cup = make_diagram("signed", 0, 2, [(t(2), t(1))])
         cap = make_diagram("signed", 2, 0, [(b(1), b(2))])
-        prod = taut_matrix(ctx, cap) @ taut_matrix(ctx, cup)
+        prod = matmul(taut_matrix(ctx, cap), taut_matrix(ctx, cup))
         res = compose_signed(cap, cup)
         assert res.closed_count == 1
         assert prod.entries == [[Fraction(2 * res.sign)]]
@@ -213,7 +227,7 @@ class TestTemperleyLieb:
             ctx = TautContext("temperley_lieb", q=q)
             cup = make_diagram("temperley_lieb", 0, 2, [(t(1), t(2))])
             cap = make_diagram("temperley_lieb", 2, 0, [(b(1), b(2))])
-            prod = taut_matrix(ctx, cap) @ taut_matrix(ctx, cup)
+            prod = matmul(taut_matrix(ctx, cap), taut_matrix(ctx, cup))
             assert prod.entries == [[-q - 1 / q]]
             assert ctx.parameter == -q - 1 / q
 
@@ -222,9 +236,9 @@ class TestRationalMatrix:
     def test_cancelled_product_is_zero(self):
         row = RationalMatrix(1, 2, [{0: 1}, {0: -1}])
         col = RationalMatrix(2, 1, [{0: Fraction(1, 2), 1: Fraction(1, 2)}])
-        prod = row @ col
-        assert prod == RationalMatrix(1, 1, [{}])
-        assert prod != RationalMatrix(1, 1, [{0: 1}])
+        prod = matmul(row, col)
+        assert matrices_equal(prod, RationalMatrix(1, 1, [{}]))
+        assert not matrices_equal(prod, RationalMatrix(1, 1, [{0: 1}]))
         assert prod.entries == [[0]]
 
 
@@ -274,7 +288,7 @@ class TestFunctoriality:
 
         def doubled(ctx, d):
             m = _matrix(ctx, d)
-            return m.scaled(2) if d.to_text() == swap else m
+            return scaled(m, 2) if d.to_text() == swap else m
 
         monkeypatch.setattr("diagcat.taut._matrix", doubled)
         rep = verify_taut_functoriality(ctx, 2)
@@ -305,6 +319,87 @@ class TestFunctoriality:
             cold = verify_taut_functoriality(ctx, size)
             assert verify_taut_functoriality(ctx, size) == cold
             assert cold["pass"], cold["failures"][:3]
+
+
+def _corrupted(factor, variant):
+    """A `_matrix` that multiplies the matrix of the last diagram of
+    Hom(x, x), x of size 2, by `factor`."""
+    x = (1, 1) if variant == "walled" else 2
+    victim = hom_basis(variant, x, x)[-1]
+
+    def build(ctx, d):
+        m = _matrix(ctx, d)
+        return scaled(m, factor) if d == victim else m
+
+    return build
+
+
+ORACLE_CONTEXTS = (
+    [(("brauer", p, None), 3) for p in (0, 1, 2, 3)]
+    + [(("partition", p, None), size) for p, size in ((0, 2), (1, 3), (2, 2))]
+    + [(("signed", p, None), 3) for p in (0, 2)]
+    + [(("walled", p, None), 3) for p in (0, 1, 2)]
+    + [(("temperley_lieb", None, q), 3) for q in (Fraction(2, 3), Fraction(-5, 7))]
+)
+
+
+class TestPackedSweep:
+    """The packed sweep against one dict product per pair."""
+
+    @pytest.mark.parametrize("args, size", ORACLE_CONTEXTS, ids=str)
+    def test_matches_oracle(self, args, size, monkeypatch):
+        ctx = TautContext(*args)
+        rep = verify_taut_functoriality(ctx, size)
+        assert rep == taut_sweep_oracle(ctx, size)
+        assert rep["pass"], rep["failures"][:3]
+        # doubled, halved (entries over 2, so the sweep scales by 2) and
+        # past 64 bits (fields wider than a machine word)
+        for factor in (2, Fraction(1, 2), 2**70):
+            monkeypatch.setattr("diagcat.taut._matrix", _corrupted(factor, ctx.variant))
+            rep = verify_taut_functoriality(ctx, size)
+            assert rep == taut_sweep_oracle(ctx, size)
+            assert rep["pass"] == (ctx.dim == 0), factor
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "args, parameters",
+        [
+            # dim 2: the product closes loops of value 2, and a field is 8 bits
+            (
+                ("brauer", 2, None),
+                [Fraction(1, 3), Fraction(7, 3), 2 + 2**8, 2 + 2**16, 2 + 2**64, 2 - 2**128, -(2**200)],
+            ),
+            # q = 2: entries -1/2 and -2, so the sweep scales by 2
+            (
+                ("temperley_lieb", None, Fraction(2)),
+                [Fraction(-5, 2) + Fraction(1, 7), Fraction(-5, 2) + 2**8, Fraction(-5, 2) - 2**64],
+            ),
+        ],
+        ids=str,
+    )
+    def test_unpackable_expectations_fail(self, args, parameters):
+        # with a wrong loop value every pair that closes a loop has an
+        # expected matrix that is not integral after scaling, or lies
+        # outside the fields (where it agrees with the product modulo
+        # 2^8, 2^16, ...); each such pair fails, and no other does
+        ctx = TautContext(*args)
+        objects = _objects_up_to(ctx.variant, 2)
+        looped = [
+            (alpha.to_text(), beta.to_text())
+            for x in objects
+            for y in objects
+            for z in objects
+            if hom_basis(ctx.variant, x, y) and hom_basis(ctx.variant, y, z)
+            for j, alpha in enumerate(hom_basis(ctx.variant, x, y))
+            for i, beta in enumerate(hom_basis(ctx.variant, y, z))
+            if composition_table(ctx.variant, x, y, z)[i][j][0] > 0
+        ]
+        assert looped
+        for parameter in parameters:
+            ctx.parameter = parameter
+            rep = verify_taut_functoriality(ctx, 2)
+            assert rep["failures"] == looped, parameter
+            assert rep == taut_sweep_oracle(ctx, 2)
 
 
 class TestP2P0:
