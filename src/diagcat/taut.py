@@ -265,9 +265,9 @@ def _scaled(packed, factor, width):
     integer or not fit its field. A matrix with rows has no such empty
     column, so a product never equals a matrix that does not pack."""
     units, sums, column_bytes = packed
-    num, den = factor.numerator, factor.denominator
-    if num == den:
+    if factor == 1:
         return column_bytes
+    num, den = factor.numerator, factor.denominator
     values = [v for _, col in sums for _, v in col]
     if units:
         values.append(1)
@@ -315,7 +315,8 @@ def verify_taut_functoriality(ctx, max_size):
     count exceeds PAIR_BUDGET, is refused with DimensionBudgetExceeded
     before any hom space is enumerated.
     """
-    # any dim >= 2 passes the budget by that exponent
+    # 2 ** ROW_BUDGET.bit_length() > ROW_BUDGET: capping the exponent
+    # there keeps the verdict without computing a huge power
     if ctx.dim ** min(max_size, ROW_BUDGET.bit_length()) > ROW_BUDGET:
         raise DimensionBudgetExceeded(
             f"{ctx.dim}^{max_size} exceeds the row budget {ROW_BUDGET}"
