@@ -7,7 +7,7 @@ all, is pinned by its SHA-256 digest. `compose` and `taut` on oriented
 operands whose arrows point against the reference orientation, and
 `compose` on partial injections, are pinned the same way, and so are
 small `verify --taut` sweeps, which read the shared composition
-tables."""
+tables, and the `verify --axioms` and `verify --t3` reports."""
 
 import hashlib
 from pathlib import Path
@@ -74,6 +74,34 @@ TAUT_SWEEPS = {
     ),
 }
 
+# `verify --json` with these flags, per variant: SHA-256 of the output
+AXIOM_REPORTS = {
+    ("brauer", "axioms"): (
+        ["--axioms", "--max-size", "3"],
+        "aaa0fd51983e0d8cee029ab45cf3db6a94ac12042512d40931b082a432613ecb",
+    ),
+    ("brauer", "t3"): (
+        ["--t3", "3", "3"],
+        "7f98c1f83370e57b3c07e5161eb20b1f6041ba4f7dbfe0957bcc5c2d1e094d6d",
+    ),
+    ("partition", "axioms"): (
+        ["--axioms", "--max-size", "3"],
+        "61688a07b29ca07dfabf1aa137040aad94a3744d067b14afeeb41f123f59eb51",
+    ),
+    ("partition", "t3"): (
+        ["--t3", "3", "3"],
+        "8a57f79730b1931a67f12502b9f54eedbeeda453630f9ab2b6d28aef2155ee22",
+    ),
+    ("temperley_lieb", "axioms"): (
+        ["--axioms", "--max-size", "3"],
+        "cdafd115776e30dfc68456455518d9681f2d09fd78501be855e50cf4383f1df6",
+    ),
+    ("temperley_lieb", "t3"): (
+        ["--t3", "3", "3"],
+        "a840b42f7f25c9bd8dd3569aeae87da5a0325447273f6ca1c9df6365ff9f5dbb",
+    ),
+}
+
 
 @pytest.mark.parametrize("variant", CASES)
 def test_enumerate_output_pinned(variant, capsys):
@@ -100,5 +128,13 @@ def test_command_output_pinned(case, capsys):
 def test_taut_sweep_pinned(case, capsys):
     flags, json_digest = TAUT_SWEEPS[case]
     assert run(["verify", "--taut", *flags, "--max-size", "2", "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == json_digest
+
+
+@pytest.mark.parametrize("case", AXIOM_REPORTS, ids="-".join)
+def test_axiom_report_pinned(case, capsys):
+    flags, json_digest = AXIOM_REPORTS[case]
+    assert run(["verify", "--category", case[0], *flags, "--json"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == json_digest

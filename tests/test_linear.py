@@ -20,7 +20,8 @@ from diagcat import (
     transpose,
     verify_t3,
 )
-from diagcat.compose import compose
+from diagcat import linear
+from diagcat.compose import CompositionResult, compose
 from diagcat.errors import ShapeMismatch, UnsupportedVariant
 
 
@@ -295,6 +296,28 @@ class TestAxioms:
         # planar permutations are trivial, so the middle category has
         # one-dimensional endomorphism spaces
         assert rep["t1"]["pass"]
+
+    def test_failing_up_down_pair_is_reported(self, monkeypatch):
+        # the cup after the cap is made to close a loop: (c) and (d) fail,
+        # and of the (T3) reports only Hom([2], [2])'s, where that pair
+        # factorizes through [0]
+        real = linear.compose
+
+        def faulty(g, f):
+            res = real(g, f)
+            if g == CUP and f == CAP:
+                return CompositionResult(1, res.result)
+            return res
+
+        monkeypatch.setattr(linear, "compose", faulty)
+        rep = check_triangular_axioms("brauer", 3)
+        assert rep["t3"]["criterion_c"] is False
+        assert rep["t3"]["criterion_d"] is False
+        assert rep["t0"]["pass"] and rep["t1"]["pass"] and rep["t2"]["pass"]
+        assert not rep["pass"]
+        failing = [hom for hom, r in rep["t3"]["per_hom"].items() if not r["pass"]]
+        assert failing == ["2->2"]
+        assert len(rep["t3"]["per_hom"]) == 16
 
     def test_hom_parity_vanishing(self):
         for n in range(5):
