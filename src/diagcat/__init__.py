@@ -30,7 +30,6 @@ from .compose import (
 )
 from .linear import (
     Factorization,
-    HomBasis,
     Morphism,
     check_triangular_axioms,
     factorize,

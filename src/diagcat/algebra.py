@@ -32,7 +32,7 @@ class AlgebraTable:
 
     def __init__(self, variant, n):
         if variant not in _ALGEBRA_VARIANTS:
-            raise UnsupportedVariant(variant)
+            raise UnsupportedVariant.of("the diagram algebra", variant, _ALGEBRA_VARIANTS)
         basis = hom_basis(variant, n, n)
         if len(basis) > BASIS_BUDGET:
             raise DimensionBudgetExceeded(

@@ -268,10 +268,14 @@ def _cmd_compose(args):
 
 
 def _parse_object(text, variant):
-    if variant == "walled":
-        a, b = text.split("+")
-        return (int(a), int(b))
-    return int(text)
+    try:
+        if variant == "walled":
+            a, b = text.split("+")
+            return (int(a), int(b))
+        return int(text)
+    except ValueError:
+        expected = "an object n1+n2" if variant == "walled" else "an object size"
+        raise DiagramSyntaxError(0, expected, text) from None
 
 
 def _cmd_enumerate(args):
@@ -444,23 +448,13 @@ def run(argv):
         return exc.code if exc.code is not None else 2
     try:
         return _HANDLERS[args.command](args)
-    except DiagramSyntaxError as exc:
-        payload = {
-            "error": exc.code,
-            "message": str(exc),
-            "position": exc.position,
-            "expected": exc.expected,
-        }
+    except (DiagramError, ValueError, ZeroDivisionError) as exc:
+        # an invalid value the library refuses is a domain error too
+        payload = {"error": getattr(exc, "code", DiagramError.code), "message": str(exc)}
+        if isinstance(exc, DiagramSyntaxError):
+            payload.update(position=exc.position, expected=exc.expected)
         print(json.dumps(payload, sort_keys=True) if args.json else f"error: {exc}",
               file=sys.stderr)
-        return 1
-    except DiagramError as exc:
-        payload = {"error": exc.code, "message": str(exc)}
-        print(json.dumps(payload, sort_keys=True) if args.json else f"error: {exc}",
-              file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -28,6 +28,7 @@ from .errors import (
     NotAPartition,
     NotInjective,
     ParityViolation,
+    ShapeMismatch,
     UnsupportedVariant,
     VariantMismatch,
 )
@@ -43,6 +44,13 @@ def vertex_text(v):
 def _vertex(n, k):
     """The k-th vertex of b1..bn, t1..tm, counting from 0."""
     return (BOTTOM, k + 1) if k < n else (TOP, k + 1 - n)
+
+
+def check_nonnegative(what, *sizes):
+    """Refuse a negative row size, color count or sweep size up front."""
+    for size in sizes:
+        if size < 0:
+            raise ShapeMismatch(f"{what} {size} is negative")
 
 
 def _canon_edge(e):
@@ -161,6 +169,7 @@ def _labels_of(n, m, parts, exc=NotAMatching, twice="used twice"):
 
 def _matching(n, m, edges):
     """The canonical edges of a perfect matching on [n] and [m], and its labels."""
+    check_nonnegative("row size", n, m)
     edges = tuple(sorted(_canon_edge(tuple(e)) for e in edges))
     labels = _labels_of(n, m, edges)
     unmatched = None in labels and vertex_text(_vertex(n, labels.index(None)))
@@ -320,6 +329,7 @@ class WalledBrauerDiagram(BrauerDiagram):
     def __init__(self, bottom, top, edges):
         n1, n2 = bottom
         m1, m2 = top
+        check_nonnegative("color count", n1, n2, m1, m2)
         edges, labels = _matching(n1 + n2, m1 + m2, edges)
         Diagram.__init__(self, (n1, n2), (m1, m2), labels)
         _keep_parts(self, edges)
@@ -353,6 +363,7 @@ class PartitionDiagram(Diagram):
     blocks = Diagram.parts
 
     def __init__(self, n, m, blocks):
+        check_nonnegative("row size", n, m)
         blocks = tuple(
             sorted(tuple(sorted(set(map(tuple, b)))) for b in blocks)
         )
@@ -400,6 +411,7 @@ class PartialInjection(Diagram):
     _views = {"_labels": "pairs"}
 
     def __init__(self, n, m, pairs):
+        check_nonnegative("row size", n, m)
         pairs = tuple(sorted((int(a), int(b)) for a, b in pairs))
         for a, b in pairs:
             if not (1 <= a <= n and 1 <= b <= m):
@@ -591,6 +603,10 @@ def enumerate_diagrams(variant, bottom, top):
     """All canonical diagrams of the hom space, in sorted order."""
     cls = variant_class(variant)
     walled = cls is WalledBrauerDiagram
+    if walled:
+        check_nonnegative("color count", *bottom, *top)
+    else:
+        check_nonnegative("row size", bottom, top)
     n, m = (sum(bottom), sum(top)) if walled else (bottom, top)
     points = [(BOTTOM, i) for i in range(1, n + 1)] + [
         (TOP, i) for i in range(1, m + 1)

@@ -43,6 +43,11 @@ class ColorMismatch(DiagramError):
 class UnsupportedVariant(DiagramError):
     code = "unsupported_variant"
 
+    @classmethod
+    def of(cls, operation, variant, supported):
+        """The error naming the operation and the variants it supports."""
+        return cls(f"{operation} supports {', '.join(supported)}; not {variant}")
+
 
 class DimensionBudgetExceeded(DiagramError):
     code = "dimension_budget_exceeded"

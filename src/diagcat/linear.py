@@ -1,7 +1,8 @@
-"""Formal linear combinations of diagrams, hom-space bases, triangular
-factorization and the axiom verifiers built on top of them.
+"""Formal linear combinations of diagrams, triangular factorization
+and the verifiers of the triangular axioms built on top of them.
 """
 
+from itertools import product
 from math import factorial
 
 from .coeff import DeltaPoly
@@ -13,6 +14,7 @@ from .diagrams import (
     PartitionDiagram,
     SignedBrauerDiagram,
     WalledBrauerDiagram,
+    check_nonnegative,
     enumerate_diagrams,
     identity_diagram,
     is_downwards,
@@ -185,23 +187,6 @@ def morphism_transpose(f):
     return Morphism._trusted(f.variant, f.target, f.source, terms)
 
 
-class HomBasis:
-    """The canonical diagram basis of a hom space with its up/down flags."""
-
-    __slots__ = ("variant", "source", "target", "diagrams", "upwards", "downwards")
-
-    def __init__(self, variant, source, target):
-        self.variant = variant
-        self.source = source
-        self.target = target
-        self.diagrams = tuple(enumerate_diagrams(variant, source, target))
-        self.upwards = tuple(is_upwards(d) for d in self.diagrams)
-        self.downwards = tuple(is_downwards(d) for d in self.diagrams)
-
-    def __len__(self):
-        return len(self.diagrams)
-
-
 class Factorization:
     """An up-after-down splitting of a diagram through a middle object."""
 
@@ -260,9 +245,42 @@ _AXIOM_VARIANTS = ("brauer", "partition", "temperley_lieb")
 
 def _middle_aut_order(variant, p):
     # order of the bijection group of the middle object inside the category
-    if variant == "temperley_lieb":
-        return 1
-    return factorial(p)
+    return 1 if variant == "temperley_lieb" else factorial(p)
+
+
+def _t3_report(variant, n, m, basis, select):
+    """verify_t3's report on Hom([n],[m]), whose diagrams `basis` lists,
+    and whether none of its up-after-down composites closed a loop.
+    select(x, y, flag) lists the diagrams of Hom(x, y) on which flag,
+    `is_upwards` or `is_downwards`, holds."""
+    through = {}  # diagram -> the middle object of each pair giving it
+    loop_free = True
+    for p in range(min(n, m) + 1):
+        ups = select(p, m, is_upwards)
+        for down in select(n, p, is_downwards):
+            for up in ups:
+                res = compose(up, down)
+                if res.closed_count != 0:
+                    loop_free = False
+                    continue
+                through.setdefault(res.result, []).append(p)
+    # a diagram counts when its pairs form one free orbit: all through
+    # one middle object p, as many as its bijections; once all count, a
+    # composite outside the basis would make `through` the longer
+    lhs_dim = 0
+    for d in basis:
+        ps = through.get(d)
+        if ps and ps[0] == ps[-1] and len(ps) == _middle_aut_order(variant, ps[0]):
+            lhs_dim += 1
+    report = {
+        "category": variant,
+        "source": n,
+        "target": m,
+        "lhs_dim": lhs_dim,
+        "rhs_dim": len(basis),
+        "pass": loop_free and lhs_dim == len(basis) == len(through),
+    }
+    return report, loop_free
 
 
 def verify_t3(variant, n, m):
@@ -273,131 +291,82 @@ def verify_t3(variant, n, m):
     orbits must equal the hom dimension.
     """
     if variant not in _AXIOM_VARIANTS:
-        raise UnsupportedVariant(variant)
-    all_diagrams = enumerate_diagrams(variant, n, m)
-    hom_dim = len(all_diagrams)
-    counts = {}  # diagram -> {p: pair count}
-    criterion_c_ok = True
-    for p in range(min(n, m) + 1):
-        downs = [
-            d for d in enumerate_diagrams(variant, n, p) if is_downwards(d)
-        ]
-        ups = [u for u in enumerate_diagrams(variant, p, m) if is_upwards(u)]
-        for down in downs:
-            for up in ups:
-                res = compose(up, down)
-                if res.closed_count != 0:
-                    criterion_c_ok = False
-                    continue
-                counts.setdefault(res.result, {}).setdefault(p, 0)
-                counts[res.result][p] += 1
-    ok = criterion_c_ok
-    lhs_dim = 0
-    for d in all_diagrams:
-        per_p = counts.get(d)
-        if per_p is None or len(per_p) != 1:
-            ok = False
-            continue
-        p, k = next(iter(per_p.items()))
-        if k != _middle_aut_order(variant, p):
-            ok = False
-            continue
-        lhs_dim += 1
-    if set(counts) - set(all_diagrams):
-        ok = False
-    return {
-        "category": variant,
-        "source": n,
-        "target": m,
-        "lhs_dim": lhs_dim,
-        "rhs_dim": hom_dim,
-        "pass": ok and lhs_dim == hom_dim,
-    }
+        raise UnsupportedVariant.of("the (T3) count", variant, _AXIOM_VARIANTS)
+
+    def select(x, y, flag):
+        return [d for d in enumerate_diagrams(variant, x, y) if flag(d)]
+
+    return _t3_report(variant, n, m, enumerate_diagrams(variant, n, m), select)[0]
 
 
 def check_triangular_axioms(variant, max_size):
-    """Exhaustively verify the triangular axioms up to the given size."""
+    """Exhaustively verify the triangular axioms up to the given size.
+
+    Each hom space is enumerated once, as (diagram, upwards, downwards)
+    triples; each pair that criterion (c) or (T3) needs is composed once.
+    """
     if variant not in _AXIOM_VARIANTS:
-        raise UnsupportedVariant(variant)
+        raise UnsupportedVariant.of("the triangular-axiom check", variant, _AXIOM_VARIANTS)
+    check_nonnegative("max_size", max_size)
     sizes = range(max_size + 1)
-    bases = {
-        (n, m): HomBasis(variant, n, m) for n in sizes for m in sizes
-    }
+    bases = {}
+    for n, m in product(sizes, repeat=2):
+        homs = enumerate_diagrams(variant, n, m)
+        bases[n, m] = [(d, is_upwards(d), is_downwards(d)) for d in homs]
 
-    hom_dims = {f"{n}->{m}": len(b) for (n, m), b in bases.items()}
-    t0_pass = True  # enumeration is finite by construction; dims recorded
+    def select(x, y, flag):
+        k = 1 if flag is is_upwards else 2  # the flag's place in a triple
+        return [t[0] for t in bases[x, y] if t[k]]
 
-    # (T1), structural part: both-ways diagrams are exactly the bijections
-    t1_pass = True
-    for n in sizes:
-        basis = bases[(n, n)]
-        both = [
-            d
-            for d, u, w in zip(basis.diagrams, basis.upwards, basis.downwards)
-            if u and w
-        ]
-        expected = 1 if variant == "temperley_lieb" else factorial(n)
-        if len(both) != expected or not all(_is_bijection_diagram(d) for d in both):
-            t1_pass = False
-
-    # (T2): hom spaces of the wide subcategories respect the size order
-    t2_pass = True
-    for (n, m), basis in bases.items():
-        if any(basis.upwards) and n > m:
-            t2_pass = False
-        if any(basis.downwards) and n < m:
-            t2_pass = False
-
-    # criterion (c): closure of the subcategories and distinguished
-    # up-after-down composites
-    crit_c_pass = True
-    for n in sizes:
-        for m in sizes:
-            for k in sizes:
-                fs, gs = bases[(n, m)], bases[(m, k)]
-                for f, f_up, f_down in zip(fs.diagrams, fs.upwards, fs.downwards):
-                    if not (f_up or f_down):
-                        continue
-                    for g, g_up, g_down in zip(gs.diagrams, gs.upwards, gs.downwards):
-                        if f_up and g_up:
-                            res = compose(g, f)
-                            if res.closed_count != 0 or not is_upwards(res.result):
-                                crit_c_pass = False
-                        if f_down and g_down:
-                            res = compose(g, f)
-                            if res.closed_count != 0 or not is_downwards(res.result):
-                                crit_c_pass = False
-                        if f_down and g_up:
-                            res = compose(g, f)
-                            if res.closed_count != 0:
-                                crit_c_pass = False
-
-    # criterion (d): the explicit factorization recomposes, and orbit
-    # counting confirms uniqueness modulo the middle bijections
-    crit_d_pass = True
+    t1_pass = t2_pass = crit_c_pass = crit_d_pass = True
     t3_reports = {}
     for (n, m), basis in bases.items():
-        for d in basis.diagrams:
+        # (T1), structural part: both-ways diagrams are exactly the bijections
+        if n == m:
+            both = [d for d, up, down in basis if up and down]
+            expected = _middle_aut_order(variant, n)
+            if len(both) != expected or not all(_is_bijection_diagram(d) for d in both):
+                t1_pass = False
+        for d, up, down in basis:
+            # (T2): hom spaces of the wide subcategories respect the size order
+            if (up and n > m) or (down and n < m):
+                t2_pass = False
+            # criterion (d): the explicit factorization recomposes
             fac = factorize(d)
             res = compose(fac.up, fac.down)
             if res.closed_count != 0 or res.result != d:
                 crit_d_pass = False
             if not is_downwards(fac.down) or not is_upwards(fac.up):
                 crit_d_pass = False
-        rep = verify_t3(variant, n, m)
+        # orbit counting confirms (d)'s uniqueness modulo the middle
+        # bijections, and composes (c)'s up-after-down pairs
+        rep, loop_free = _t3_report(variant, n, m, [d for d, _, _ in basis], select)
         t3_reports[f"{n}->{m}"] = rep
-        if not rep["pass"]:
-            crit_d_pass = False
+        crit_c_pass = crit_c_pass and loop_free
+        crit_d_pass = crit_d_pass and rep["pass"]
 
-    overall = t0_pass and t1_pass and t2_pass and crit_c_pass and crit_d_pass
+    # criterion (c): the subcategories are closed under composition
+    wide = {key: [t for t in basis if t[1] or t[2]] for key, basis in bases.items()}
+    for n, m, k in product(sizes, repeat=3):
+        for f, f_up, f_down in wide[n, m]:
+            for g, g_up, g_down in wide[m, k]:
+                up, down = f_up and g_up, f_down and g_down
+                if not (up or down):
+                    continue
+                res = compose(g, f)
+                if res.closed_count != 0:
+                    crit_c_pass = False
+                if up and not is_upwards(res.result):
+                    crit_c_pass = False
+                if down and not is_downwards(res.result):
+                    crit_c_pass = False
+
+    hom_dims = {f"{n}->{m}": len(basis) for (n, m), basis in bases.items()}
     return {
         "category": variant,
         "max_size": max_size,
-        "t0": {"pass": t0_pass, "hom_dims": hom_dims},
-        "t1": {
-            "pass": t1_pass,
-            "end_m_semisimple": "assumed (char 0)",
-        },
+        "t0": {"pass": True, "hom_dims": hom_dims},
+        "t1": {"pass": t1_pass, "end_m_semisimple": "assumed (char 0)"},
         "t2": {"pass": t2_pass},
         "t3": {
             "pass": crit_c_pass and crit_d_pass,
@@ -405,7 +374,7 @@ def check_triangular_axioms(variant, max_size):
             "criterion_d": crit_d_pass,
             "per_hom": t3_reports,
         },
-        "pass": overall,
+        "pass": t1_pass and t2_pass and crit_c_pass and crit_d_pass,
     }
 
 

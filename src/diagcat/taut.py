@@ -21,6 +21,7 @@ from .diagrams import (
     BOTTOM,
     TOP,
     SignedBrauerDiagram,
+    check_nonnegative,
     enumerate_diagrams,
     is_downwards,
     variant_class,
@@ -59,7 +60,7 @@ class TautContext:
 
     def __init__(self, variant, dim=None, q=None):
         if variant not in TAUT_VARIANTS:
-            raise UnsupportedVariant(variant)
+            raise UnsupportedVariant.of("the tautological functor", variant, TAUT_VARIANTS)
         cap = cup = None
         if variant == "temperley_lieb":
             q = Fraction(q if q is not None else 1)
@@ -112,12 +113,12 @@ class RationalMatrix:
         return f"<RationalMatrix {self.rows}x{self.cols}>"
 
 
-def _check_budget(ctx, d):
-    n, m = d.n, d.m
-    if max(ctx.dim**m, ctx.dim**n) > ROW_BUDGET:
-        raise DimensionBudgetExceeded(
-            f"{ctx.dim}^{max(n, m)} exceeds the row budget {ROW_BUDGET}"
-        )
+def _check_budget(dim, size):
+    """Refuse tensor powers of dimension dim with more than ROW_BUDGET rows."""
+    # 2 ** ROW_BUDGET.bit_length() > ROW_BUDGET: capping the exponent
+    # there keeps the verdict without computing a huge power
+    if dim ** min(size, ROW_BUDGET.bit_length()) > ROW_BUDGET:
+        raise DimensionBudgetExceeded(f"{dim}^{size} exceeds the row budget {ROW_BUDGET}")
 
 
 def _check_variant(ctx, d):
@@ -128,7 +129,7 @@ def _check_variant(ctx, d):
 def taut_matrix(ctx, d):
     """The exact matrix of the diagram's action on tensor powers."""
     _check_variant(ctx, d)
-    _check_budget(ctx, d)
+    _check_budget(ctx.dim, max(d.n, d.m))
     return _matrix(ctx, d)
 
 
@@ -313,14 +314,11 @@ def verify_taut_functoriality(ctx, max_size):
 
     A sweep whose tensor powers exceed ROW_BUDGET rows, or whose pair
     count exceeds PAIR_BUDGET, is refused with DimensionBudgetExceeded
-    before any hom space is enumerated.
+    before any hom space is enumerated, and a negative max_size with
+    ShapeMismatch.
     """
-    # 2 ** ROW_BUDGET.bit_length() > ROW_BUDGET: capping the exponent
-    # there keeps the verdict without computing a huge power
-    if ctx.dim ** min(max_size, ROW_BUDGET.bit_length()) > ROW_BUDGET:
-        raise DimensionBudgetExceeded(
-            f"{ctx.dim}^{max_size} exceeds the row budget {ROW_BUDGET}"
-        )
+    check_nonnegative("max_size", max_size)
+    _check_budget(ctx.dim, max_size)
     variant = ctx.variant
     _check_pair_budget(variant, max_size)
     objects = _objects_up_to(variant, max_size)

@@ -309,6 +309,45 @@ class TestExitCodes:
         assert code == 0
         assert out == "1\n"
 
+    def test_unsupported_variant_names_what_is_supported(self, capsys):
+        code, out, err = capture(capsys, ["verify", "--axioms", "--category", "walled"])
+        assert code == 1 and out == ""
+        assert err == (
+            "error: the triangular-axiom check supports brauer, partition, "
+            "temperley_lieb; not walled\n"
+        )
+
+    def test_negative_size(self, capsys):
+        argv = ["semisimple", "--category", "brauer", "--n", "-1", "--delta", "1"]
+        code, out, err = capture(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == "error: row size -1 is negative\n"
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (
+                ["enumerate", "--category", "walled", "1", "1"],
+                {
+                    "error": "syntax_error",
+                    "message": "at position 0: expected an object n1+n2",
+                    "position": 0,
+                    "expected": "an object n1+n2",
+                },
+            ),
+            (
+                ["verify", "--taut", "--category", "signed", "--dim", "3"],
+                {"error": "domain_error", "message": "the oriented variant needs even dimension"},
+            ),
+        ],
+    )
+    def test_every_error_follows_json(self, capsys, argv, payload):
+        code, out, err = capture(capsys, argv + ["--json"])
+        assert code == 1 and out == ""
+        assert json.loads(err) == payload
+        code, out, err = capture(capsys, argv)
+        assert code == 1 and err == f"error: {payload['message']}\n"
+
     def test_verify_failure_exit(self, capsys):
         # nothing-to-verify is a domain error
         code, _, _ = capture(capsys, ["verify"])

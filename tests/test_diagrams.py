@@ -17,16 +17,19 @@ from diagcat import (
     make_diagram,
     transpose,
 )
-from diagcat.diagrams import variant_class
+from diagcat.diagrams import VARIANTS, variant_class
 from diagcat.errors import (
     ColorViolation,
     NotAMatching,
     NotAPartition,
     NotInjective,
     ParityViolation,
+    ShapeMismatch,
     UnsupportedVariant,
     VariantMismatch,
 )
+from diagcat.linear import check_triangular_axioms, verify_t3
+from diagcat.taut import TAUT_VARIANTS, TautContext, verify_taut_functoriality
 
 
 def b(i):
@@ -116,6 +119,31 @@ class TestMakeDiagram:
         sign, canon = d.canonicalize()
         assert sign == -1
         assert canon.arrows == ((b(1), b(2)),)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_negative_sizes_are_refused(variant):
+    # a negative row size or color count builds no value and no hom space
+    if variant == "walled":
+        shapes = [((-1, 1), (0, 0)), ((2, -1), (1, 0)), ((1, 0), (0, -1))]
+    else:
+        shapes = [(-1, 1), (-2, 0), (0, -2)]
+    for bottom, top in shapes:
+        with pytest.raises(ShapeMismatch, match="is negative$"):
+            enumerate_diagrams(variant, bottom, top)
+        with pytest.raises(ShapeMismatch, match="is negative$"):
+            make_diagram(variant, bottom, top, [])
+    with pytest.raises(ShapeMismatch, match="is negative$"):
+        identity_diagram(variant, (1, -1) if variant == "walled" else -1)
+    # nor does a negative sweep size
+    if variant in ("brauer", "partition", "temperley_lieb"):
+        with pytest.raises(ShapeMismatch, match=r"^max_size -1 is negative$"):
+            check_triangular_axioms(variant, -1)
+        with pytest.raises(ShapeMismatch, match=r"^row size -1 is negative$"):
+            verify_t3(variant, -1, 2)
+    if variant in TAUT_VARIANTS:
+        with pytest.raises(ShapeMismatch, match=r"^max_size -1 is negative$"):
+            verify_taut_functoriality(TautContext(variant, dim=2), -1)
 
 
 class TestPredicates:
