@@ -319,6 +319,29 @@ class TestAxioms:
         assert failing == ["2->2"]
         assert len(rep["t3"]["per_hom"]) == 16
 
+    @pytest.mark.parametrize("downwards", [False, True])
+    def test_composite_leaving_the_subcategory_is_reported(self, monkeypatch, downwards):
+        # the swap after an upwards map that is not downwards (or, transposed,
+        # a downwards map after the swap) is made to leave the subcategory.
+        # Neither (d) nor a (T3) count composes this pair, so only (c) fails
+        f = make_diagram("partition", 1, 2, [[b(1), t(1)], [t(2)]])
+        swap = make_diagram("partition", 2, 2, [[b(1), t(2)], [b(2), t(1)]])
+        wrong = make_diagram("partition", 1, 2, [[b(1)], [t(1), t(2)]])
+        pair = (swap, f)
+        if downwards:
+            pair, wrong = (transpose(f), swap), transpose(wrong)
+        real = linear.compose
+
+        def faulty(g, h):
+            return CompositionResult(0, wrong) if (g, h) == pair else real(g, h)
+
+        monkeypatch.setattr(linear, "compose", faulty)
+        rep = check_triangular_axioms("partition", 2)
+        assert rep["t3"]["criterion_c"] is False
+        assert rep["t3"]["criterion_d"] is True
+        assert all(r["pass"] for r in rep["t3"]["per_hom"].values())
+        assert not rep["pass"]
+
     def test_hom_parity_vanishing(self):
         for n in range(5):
             for m in range(5):
