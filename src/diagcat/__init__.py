@@ -21,10 +21,6 @@ from .diagrams import (
 from .compose import (
     CompositionResult,
     compose,
-    compose_brauer,
-    compose_fisharp,
-    compose_partition,
-    compose_signed,
     epsilon_sign,
     phi_signed_to_brauer,
 )

@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import permutations, zip_longest
 from math import factorial
 
+from .diagrams import check_nonnegative, enumerate_diagrams, renumbered
 from .errors import SizeMismatch
 
 
@@ -50,6 +51,7 @@ def check_partition(parts):
 
 def partitions_of(n):
     """All partitions of n in reverse lexicographic order."""
+    check_nonnegative("partition size", n)
 
     def gen(remaining, cap):
         if remaining == 0:
@@ -340,8 +342,6 @@ def _exact_quotient(total, group_order):
 def _fixed_matchings(n, m, rho):
     """Number of matching diagrams [n] -> [m] fixed by a permutation of
     cycle type rho acting on the top row."""
-    from .diagrams import enumerate_diagrams, renumbered
-
     sigma = _permutation_of_type(rho)
     fixed = 0
     for d in enumerate_diagrams("brauer", n, m):
@@ -367,6 +367,7 @@ def _permutation_of_type(rho):
 def verify_principal_decomposition(n, m):
     """Check that the permutation character of the hom space matches the
     weight multiplicities predicted by the projective decomposition."""
+    check_nonnegative("row size", n, m)
     if (n + m) % 2 != 0:
         raise SizeMismatch("hom space is zero for odd total size")
     details = {}

@@ -1,16 +1,16 @@
-"""Composition: stack two diagrams, merge their parts through the
-middle row with a union-find, count closed loops, and take the sign of
-the oriented variant from the comparison functor.
+"""Composition: `compose` is the one composer of every variant. It
+stacks two diagrams, merges their parts through the middle row with a
+union-find and counts the closed loops; then the operands' class adds
+its rule: the sign of the oriented variant from the comparison functor,
+the zero of the degenerate partition rule, or no loops for partial
+injections.
 """
 
 from .diagrams import (
     BrauerDiagram,
     DegeneratePartitionDiagram,
     PartialInjection,
-    PartitionDiagram,
     SignedBrauerDiagram,
-    TemperleyLiebDiagram,
-    WalledBrauerDiagram,
 )
 from .errors import ColorMismatch, ShapeMismatch, VariantMismatch
 
@@ -41,22 +41,13 @@ class CompositionResult:
         )
 
 
-# the classes each per-variant composer accepts
-_MATCHINGS = (BrauerDiagram, TemperleyLiebDiagram, WalledBrauerDiagram)
-_PARTITIONS = (PartitionDiagram, DegeneratePartitionDiagram)
-
-
-def _check(beta, alpha, accepts):
-    """Refuse operands of two classes, of a class outside `accepts`, or
-    with different middle rows."""
+def _check(beta, alpha):
+    """Refuse operands of two classes or with different middle rows."""
     cls = type(alpha)
     if type(beta) is not cls:
         raise VariantMismatch(
             f"cannot compose {type(beta).__name__} after {cls.__name__}"
         )
-    if cls not in accepts:
-        names = ", ".join(c.__name__ for c in accepts)
-        raise VariantMismatch(f"expected one of {names}, not {cls.__name__}")
     if alpha.top != beta.bottom:
         if alpha.m != beta.n:
             raise ShapeMismatch(f"middle sizes differ: {alpha.m} vs {beta.n}")
@@ -65,7 +56,7 @@ def _check(beta, alpha, accepts):
         )
 
 
-def _glue(beta, alpha, accepts):
+def _glue(beta, alpha):
     """Stack alpha under beta and merge their parts through the middle.
 
     The parts are a matching's edges or a partition's blocks, and
@@ -77,9 +68,8 @@ def _glue(beta, alpha, accepts):
     composite's labels. Returns (closed, labels, cyclic): the number of
     merged components without an outer vertex, the composite's labels,
     and whether some middle vertex joined two parts that were already
-    connected. Operands are checked against `accepts` first.
+    connected.
     """
-    _check(beta, alpha, accepts)
     n, mid = alpha.n, alpha.m
     a_labels, b_labels = alpha._labels, beta._labels
     na = max(a_labels) + 1 if a_labels else 0
@@ -112,52 +102,6 @@ def _glue(beta, alpha, accepts):
     return parts - joins - len(number), tuple(labels), mid > joins
 
 
-def compose_brauer(beta, alpha):
-    """beta after alpha in the matching family (plain, walled, planar)."""
-    closed, labels, _ = _glue(beta, alpha, _MATCHINGS)
-    result = type(alpha)._trusted(alpha.bottom, beta.top, labels)
-    return CompositionResult(closed, result)
-
-
-def compose_partition(beta, alpha):
-    """beta after alpha by merging touching blocks through the middle.
-
-    The degenerate rule, which applies to DegeneratePartitionDiagram
-    operands, sends the product to zero when the blocks of alpha and
-    beta, joined at the middle vertices, contain a cycle.
-    """
-    closed, labels, cyclic = _glue(beta, alpha, _PARTITIONS)
-    result = type(alpha)._trusted(alpha.n, beta.m, labels)
-    return CompositionResult(closed, result, 1, cyclic and type(alpha) is DegeneratePartitionDiagram)
-
-
-def compose_signed(beta, alpha):
-    """beta after alpha in the oriented variant.
-
-    Inputs may carry any orientations; the result carries the reference
-    ones. The sign comes from the comparison functor to the plain
-    category at negated parameter: eps(beta o alpha) at d equals
-    eps(beta) o eps(alpha) at -d, so
-    sign = eps(alpha) * eps(beta) * eps(result) * (-1)**closed.
-    """
-    closed, labels, _ = _glue(beta, alpha, (SignedBrauerDiagram,))
-    result = SignedBrauerDiagram._trusted(alpha.n, beta.m, labels)
-    sign = epsilon_sign(alpha) * epsilon_sign(beta) * epsilon_sign(result)
-    return CompositionResult(closed, result, sign=-sign if closed % 2 else sign)
-
-
-def compose_fisharp(beta, alpha):
-    """Partial injections composed as partial functions.
-
-    Each merged part holds one middle vertex, so b_a and t_c share a
-    part exactly when alpha maps a to the vertex beta maps to c. A
-    middle vertex neither operand maps is a part of its own and counts
-    no loop.
-    """
-    _, labels, _ = _glue(beta, alpha, (PartialInjection,))
-    return CompositionResult(0, PartialInjection._trusted(alpha.n, beta.m, labels))
-
-
 def epsilon_sign(alpha):
     """Sign comparing the induced oriented matching to the standard one.
 
@@ -185,30 +129,17 @@ def epsilon_sign(alpha):
     for label in labels[:n] + labels[n:][::-1]:
         images.append(2 * label + 2 if label in seen else 2 * label + 1)
         seen.add(label)
-    sign = _perm_sign(images)
+    # chars is loaded on first use, which keeps it out of the names
+    # that importing diagcat makes public
+    from .chars import cycle_type
+
+    # a permutation's sign is (-1)^(length - number of cycles)
+    sign = -1 if (len(images) - len(cycle_type(images))) % 2 else 1
     # a flipped arrow points from the larger position to the smaller,
     # which swaps the two images of its edge, a transposition
     if len(alpha.flips) % 2:
         sign = -sign
     object.__setattr__(alpha, "_epsilon", sign)
-    return sign
-
-
-def _perm_sign(images):
-    # images is a permutation of 1..len(images)
-    seen = [False] * (len(images) + 1)
-    sign = 1
-    for i in range(1, len(images) + 1):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = images[j - 1]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
     return sign
 
 
@@ -218,11 +149,30 @@ def phi_signed_to_brauer(alpha):
 
 
 def compose(beta, alpha):
-    """Single-diagram composition by the rule of alpha's class."""
-    if isinstance(alpha, SignedBrauerDiagram):
-        return compose_signed(beta, alpha)
-    if isinstance(alpha, PartitionDiagram):
-        return compose_partition(beta, alpha)
-    if isinstance(alpha, PartialInjection):
-        return compose_fisharp(beta, alpha)
-    return compose_brauer(beta, alpha)
+    """beta after alpha, by the rule of their class.
+
+    The operands must share a class and a middle row. Their parts are
+    merged through the middle, and then:
+    - an oriented result carries the reference orientations, and its
+      sign comes from the comparison functor to the plain category at
+      negated parameter: eps(beta o alpha) at d equals eps(beta) o
+      eps(alpha) at -d, so the sign is
+      eps(alpha) * eps(beta) * eps(result) * (-1)**closed;
+    - under the degenerate partition rule the product is zero when the
+      blocks of alpha and beta, joined at the middle vertices, contain a
+      cycle;
+    - partial injections compose as partial functions and count no
+      loops: a middle vertex neither operand maps is a part of its own.
+    """
+    _check(beta, alpha)
+    closed, labels, cyclic = _glue(beta, alpha)
+    cls = type(alpha)
+    result = cls._trusted(alpha.bottom, beta.top, labels)
+    if cls is SignedBrauerDiagram:
+        sign = epsilon_sign(alpha) * epsilon_sign(beta) * epsilon_sign(result)
+        return CompositionResult(closed, result, -sign if closed % 2 else sign)
+    if cls is DegeneratePartitionDiagram:
+        return CompositionResult(closed, result, 1, cyclic)
+    if cls is PartialInjection:
+        return CompositionResult(0, result)
+    return CompositionResult(closed, result)

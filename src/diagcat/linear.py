@@ -35,13 +35,24 @@ class Morphism:
     __slots__ = ("variant", "source", "target", "terms")
 
     def __init__(self, variant, source, target, terms=()):
+        # an oriented term is kept in reference orientation, its sign
+        # folded into the coefficient; terms that then meet are summed
         clean = {}
         for d, c in dict(terms).items():
             c = _as_poly(c)
-            if c:
-                if d.bottom != source or d.top != target:
-                    raise ShapeMismatch("term does not match source/target")
-                clean[d] = c
+            if not c:
+                continue
+            if d.bottom != source or d.top != target:
+                raise ShapeMismatch("term does not match source/target")
+            if isinstance(d, SignedBrauerDiagram):
+                sign, d = d.canonicalize()
+                if sign < 0:
+                    c = -c
+                if d in clean:
+                    c = clean.pop(d) + c
+                    if not c:
+                        continue
+            clean[d] = c
         self.variant, self.source, self.target = variant, source, target
         self.terms = clean
 
@@ -61,10 +72,6 @@ class Morphism:
 
     @classmethod
     def from_diagram(cls, d, coeff=1):
-        coeff = _as_poly(coeff)
-        if isinstance(d, SignedBrauerDiagram):
-            sign, d = d.canonicalize()
-            coeff = coeff * sign
         return cls(d.variant, d.bottom, d.top, {d: coeff})
 
     @classmethod
@@ -158,14 +165,13 @@ def morphism_compose(g, f):
 def morphism_tensor(f, g):
     """Bilinear extension of placing g's diagrams to the right of f's."""
     f._check_compatible(g)
+    # oriented terms are in reference orientation, and so is the
+    # disjoint union of two of them
     terms = {}
     for df, cf in f.terms.items():
         for dg, cg in g.terms.items():
             d = disjoint_union(df, dg)
             c = cf * cg
-            if isinstance(d, SignedBrauerDiagram):
-                sign, d = d.canonicalize()
-                c = c * sign
             acc = terms.get(d)
             terms[d] = c if acc is None else acc + c
     terms = {d: c for d, c in terms.items() if c}

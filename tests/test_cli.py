@@ -323,6 +323,18 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: row size -1 is negative\n"
 
+    @pytest.mark.parametrize("sizes", [["2", "-2"], ["-1", "-1"]])
+    def test_verify_principal_refuses_negative_sizes(self, capsys, sizes):
+        code, out, err = capture(capsys, ["verify", "--principal", *sizes])
+        assert code == 1 and out == ""
+        assert err == f"error: row size {min(sizes, key=int)} is negative\n"
+
+    def test_mult_refuses_negative_weight_size(self, capsys):
+        argv = ["mult", "--delta-of", "1", "--weights-of-size", "-2"]
+        code, out, err = capture(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == "error: partition size -2 is negative\n"
+
     @pytest.mark.parametrize(
         "argv, payload",
         [

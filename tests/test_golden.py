@@ -7,13 +7,17 @@ all, is pinned by its SHA-256 digest. `compose` and `taut` on oriented
 operands whose arrows point against the reference orientation, and
 `compose` on partial injections, are pinned the same way, and so are
 small `verify --taut` sweeps, which read the shared composition
-tables, and the `verify --axioms` and `verify --t3` reports."""
+tables, and the `verify --axioms` and `verify --t3` reports. The
+library's `compose` is pinned per variant by one digest over every
+composable pair of small hom spaces."""
 
 import hashlib
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
+from diagcat import compose, enumerate_diagrams, make_diagram
 from diagcat.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -101,6 +105,59 @@ AXIOM_REPORTS = {
         "a840b42f7f25c9bd8dd3569aeae87da5a0325447273f6ca1c9df6365ff9f5dbb",
     ),
 }
+
+# largest object, number of composable pairs and SHA-256 of one line
+# (closed, sign, is_zero, result text) per pair; a walled object's
+# colors add up to at most the size, and signed operands come in every
+# orientation
+COMPOSITIONS = {
+    "brauer": (3, 360, "0eaca9294ef5bdfc082d3d99b865b817efb75f919c2ec4e392470cfcc6cf6735"),
+    "signed": (3, 2426, "ef3329cb5c1527dc298122dce04306b7844fb16dcef83436e3c165035176aee4"),
+    "walled": (3, 239, "06d9e289ba82c1261eb67c75f420a6dfad6aa5a31c8ecb5c28306bfcc921fc9d"),
+    "temperley_lieb": (4, 579, "4734288cdc067fdbe3b37a80cbe410f7e40dae9ddd33e55ed659ec6fe85ef7fc"),
+    "partition": (2, 564, "d2c28fa86150babffa0603d27ca885f75565f706fbe1174f32ecbcd8cc930314"),
+    "degenerate": (2, 564, "f658917490de32bdcd77d486db4c4580c184bdf6b6f7bf1be3091b3106379acc"),
+    "fisharp": (3, 3396, "b086f8d53239f2128edc15f94a452d909a4c833ae1f3b10e6ea8b0f4b7b878d8"),
+}
+
+
+def _orientations(d):
+    """d with each subset of its horizontal edges pointing against the
+    reference orientation."""
+    vertical = [e for e in d.edges if e[0][0] != e[1][0]]
+    arrows = d.arrows
+    for k in range(len(arrows) + 1):
+        for flipped in combinations(arrows, k):
+            data = vertical + [a[::-1] if a in flipped else a for a in arrows]
+            yield make_diagram("signed", d.n, d.m, data)
+
+
+def _hom(variant, x, y):
+    homs = enumerate_diagrams(variant, x, y)
+    if variant == "signed":
+        return [o for d in homs for o in _orientations(d)]
+    return homs
+
+
+@pytest.mark.parametrize("variant", COMPOSITIONS)
+def test_compositions_pinned(variant):
+    size, pairs, digest = COMPOSITIONS[variant]
+    if variant == "walled":
+        objects = [(a, s - a) for s in range(size + 1) for a in range(s + 1)]
+    else:
+        objects = range(size + 1)
+    homs = {(x, y): _hom(variant, x, y) for x, y in product(objects, repeat=2)}
+    h = hashlib.sha256()
+    count = 0
+    for x, y, z in product(objects, repeat=3):
+        for alpha in homs[x, y]:
+            for beta in homs[y, z]:
+                res = compose(beta, alpha)
+                line = f"{res.closed_count} {res.sign} {res.is_zero} {res.result.to_text()}\n"
+                h.update(line.encode())
+                count += 1
+    assert count == pairs
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("variant", CASES)

@@ -120,6 +120,13 @@ class TestMorphismAlgebra:
         h = Morphism("signed", 0, 2, {signed: 1, signed.canonicalize()[1]: 1})
         assert morphism_tensor(h, Morphism.identity("signed", 0)).terms == {}
 
+    def test_signed_terms_kept_in_reference_orientation(self):
+        flip = make_diagram("signed", 2, 0, [(b(2), b(1))])
+        ref = make_diagram("signed", 2, 0, [(b(1), b(2))])
+        f = Morphism("signed", 2, 0, {flip: 1})
+        assert f == Morphism.from_diagram(flip) == Morphism.from_diagram(ref, -1)
+        assert Morphism("signed", 2, 0, {flip: 1, ref: 1}).is_zero()
+
     def test_degenerate_drops_zero_terms(self):
         alpha = Morphism.from_diagram(make_diagram("degenerate", 0, 2, [[t(1), t(2)]]))
         beta = Morphism.from_diagram(make_diagram("degenerate", 2, 0, [[b(1), b(2)]]))

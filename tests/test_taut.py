@@ -206,13 +206,13 @@ class TestSignedMatrices:
     def test_loop_value(self):
         # reference orientations: the closed loop evaluates to -p and the
         # composition engine reports sign -1 with one closed component
-        from diagcat import compose_signed
+        from diagcat import compose
 
         ctx = TautContext("signed", dim=2)
         cup = make_diagram("signed", 0, 2, [(t(2), t(1))])
         cap = make_diagram("signed", 2, 0, [(b(1), b(2))])
         prod = matmul(taut_matrix(ctx, cap), taut_matrix(ctx, cup))
-        res = compose_signed(cap, cup)
+        res = compose(cap, cup)
         assert res.closed_count == 1
         assert prod.entries == [[Fraction(2 * res.sign)]]
 
