@@ -1,5 +1,7 @@
 """diagcat: exact-arithmetic kernel for diagram categories."""
 
+from types import ModuleType as _ModuleType
+
 from .coeff import DeltaPoly, rational_roots
 from .diagrams import (
     BrauerDiagram,
@@ -35,5 +37,6 @@ from .linear import (
     verify_t3,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, but not the submodules they load
+__all__ = [k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType)]
 __version__ = "0.1.0"

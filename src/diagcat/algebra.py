@@ -5,11 +5,12 @@ shared with the tautological sweeps.
 """
 
 from functools import lru_cache
-from math import lcm
+from itertools import accumulate
+from math import comb, factorial, lcm, prod
 
 from .coeff import DeltaPoly, _reduced, int_exact_div, int_mul, int_sub, rational_roots
 from .compose import compose
-from .diagrams import enumerate_diagrams
+from .diagrams import check_nonnegative, enumerate_diagrams
 from .errors import DimensionBudgetExceeded, UnsupportedVariant
 
 BASIS_BUDGET = 250
@@ -31,16 +32,10 @@ class AlgebraTable:
     __slots__ = ("variant", "n", "basis", "index", "table")
 
     def __init__(self, variant, n):
-        if variant not in _ALGEBRA_VARIANTS:
-            raise UnsupportedVariant.of("the diagram algebra", variant, _ALGEBRA_VARIANTS)
-        basis = hom_basis(variant, n, n)
-        if len(basis) > BASIS_BUDGET:
-            raise DimensionBudgetExceeded(
-                f"{len(basis)} basis diagrams exceed the budget {BASIS_BUDGET}"
-            )
+        _dimension(variant, n)
         self.variant = variant
         self.n = n
-        self.basis = basis
+        self.basis = basis = hom_basis(variant, n, n)
         self.index = {d: i for i, d in enumerate(basis)}
         self.table = composition_table(variant, n, n, n)
 
@@ -60,6 +55,38 @@ class AlgebraTable:
         """G[i][j] = trace of left multiplication by basis[i] o basis[j]."""
         traces = [self.left_multiplication_trace(k) for k in range(self.dimension)]
         return [[traces[k]._shifted(c, s) for c, s, k in row] for row in self.table]
+
+
+def _hom_size(variant, x, y):
+    """|Hom(x, y)| by the counting formulas: (n1+m2)! matchings between
+    the two colour classes of a walled object, Bell(n+m) set partitions,
+    Catalan((n+m)/2) planar and (n+m-1)!! other perfect matchings."""
+    if variant == "walled":
+        (n1, n2), (m1, m2) = x, y
+        return factorial(n1 + m2) if n1 + m2 == n2 + m1 else 0
+    total = x + y
+    if variant == "partition":
+        bell = [1]  # row `total` of the Bell triangle starts with Bell(total)
+        for _ in range(total):
+            bell = list(accumulate(bell, initial=bell[-1]))
+        return bell[0]
+    if total % 2:
+        return 0
+    if variant == "temperley_lieb":
+        return comb(total, total // 2) // (total // 2 + 1)
+    return prod(range(1, total, 2))
+
+
+def _dimension(variant, n):
+    """The dimension of the algebra on [n], counted before any basis is
+    enumerated; past BASIS_BUDGET it is refused."""
+    if variant not in _ALGEBRA_VARIANTS:
+        raise UnsupportedVariant.of("the diagram algebra", variant, _ALGEBRA_VARIANTS)
+    check_nonnegative("row size", n)
+    size = _hom_size(variant, n, n)
+    if size > BASIS_BUDGET:
+        raise DimensionBudgetExceeded(f"{size} basis diagrams exceed the budget {BASIS_BUDGET}")
+    return size
 
 
 @lru_cache(maxsize=None)
@@ -141,14 +168,14 @@ def discriminant(variant, n):
     """Determinant of the trace form of the regular representation.
 
     An algebra of more than DISCRIMINANT_BASIS_BUDGET basis diagrams is
-    refused with DimensionBudgetExceeded before its Gram matrix is built.
+    refused with DimensionBudgetExceeded before its basis is enumerated.
     """
-    algebra = build_algebra(variant, n)
-    if algebra.dimension > DISCRIMINANT_BASIS_BUDGET:
+    size = _dimension(variant, n)
+    if size > DISCRIMINANT_BASIS_BUDGET:
         raise DimensionBudgetExceeded(
-            f"{algebra.dimension} basis diagrams exceed the budget {DISCRIMINANT_BASIS_BUDGET}"
+            f"{size} basis diagrams exceed the budget {DISCRIMINANT_BASIS_BUDGET}"
         )
-    return poly_det(algebra.gram_matrix())
+    return poly_det(build_algebra(variant, n).gram_matrix())
 
 
 def is_semisimple_at(variant, n, delta):

@@ -8,6 +8,7 @@ Exit codes: 0 success (verification subcommands: all checks passed),
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -153,6 +154,11 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+# a negative number, read as a value and not as an option; argparse's
+# own pattern admits ints and decimals, but not "-1/2"
+_NEGATIVE_NUMBER = re.compile(r"^-\d*\.?\d+(/\d+)?$")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="diagcat",
@@ -165,6 +171,7 @@ def _build_parser():
             p.add_argument("--category", default="brauer", choices=VARIANTS)
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
         p.add_argument("--out", metavar="FILE", help="also dump JSON to FILE")
+        p._negative_number_matcher = _NEGATIVE_NUMBER
 
     p = sub.add_parser("compose", help="compose two diagrams (beta after alpha)")
     add_common(p)

@@ -42,13 +42,6 @@ class DeltaPoly:
     def one(cls):
         return _ONE
 
-    @classmethod
-    def delta_power(cls, c, scalar=1):
-        """scalar * d**c"""
-        if c < 0:
-            raise ValueError("negative d-exponent")
-        return cls((0,) * c + (scalar,))
-
     @property
     def coeffs(self):
         den = self._den
@@ -140,26 +133,19 @@ class DeltaPoly:
             num = (0,) * k + num
         return _poly(num, self._den)
 
-    def divmod(self, other):
-        """Polynomial division with remainder; divisor must be nonzero."""
+    def exact_div(self, other):
+        """Quotient when the division is known to be exact; ValueError
+        when it is not."""
         if not isinstance(other, DeltaPoly):
             other = DeltaPoly(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem, div = list(self.coeffs), other.coeffs
-        quo = [0] * max(len(rem) - len(div) + 1, 0)
-        for k in range(len(quo) - 1, -1, -1):
-            c = quo[k] = rem[k + len(div) - 1] / div[-1]
-            for i, b in enumerate(div):
-                rem[k + i] -= c * b
-        return DeltaPoly(quo), DeltaPoly(rem)
-
-    def exact_div(self, other):
-        """Quotient when the division is known to be exact."""
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
+        # a primitive divisor that divides over Q divides over Z
+        # (Gauss's lemma); its content and both denominators scale after
+        b = other._num
+        content = gcd(*b)
+        quo = int_exact_div(self._num, [c // content for c in b])
+        return _reduced([c * other._den for c in quo], content * self._den)
 
     def evaluate(self, x):
         """Value at an exact rational point, by Horner's rule on ints:

@@ -6,6 +6,7 @@ the zero of the degenerate partition rule, or no loops for partial
 injections.
 """
 
+from .chars import cycle_type
 from .diagrams import (
     BrauerDiagram,
     DegeneratePartitionDiagram,
@@ -129,10 +130,6 @@ def epsilon_sign(alpha):
     for label in labels[:n] + labels[n:][::-1]:
         images.append(2 * label + 2 if label in seen else 2 * label + 1)
         seen.add(label)
-    # chars is loaded on first use, which keeps it out of the names
-    # that importing diagcat makes public
-    from .chars import cycle_type
-
     # a permutation's sign is (-1)^(length - number of cycles)
     sign = -1 if (len(images) - len(cycle_type(images))) % 2 else 1
     # a flipped arrow points from the larger position to the smaller,

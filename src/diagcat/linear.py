@@ -8,8 +8,6 @@ from math import factorial
 from .coeff import DeltaPoly
 from .compose import compose
 from .diagrams import (
-    BOTTOM,
-    TOP,
     BrauerDiagram,
     PartitionDiagram,
     SignedBrauerDiagram,
@@ -19,8 +17,10 @@ from .diagrams import (
     identity_diagram,
     is_downwards,
     is_upwards,
+    renumbered,
     transpose,
     disjoint_union,
+    variant_class,
 )
 from .errors import ShapeMismatch, UnsupportedVariant, VariantMismatch
 
@@ -37,8 +37,11 @@ class Morphism:
     def __init__(self, variant, source, target, terms=()):
         # an oriented term is kept in reference orientation, its sign
         # folded into the coefficient; terms that then meet are summed
+        term_class = variant_class(variant)
         clean = {}
         for d, c in dict(terms).items():
+            if type(d) is not term_class:
+                raise VariantMismatch(f"{type(d).__name__} term in a {variant} morphism")
             c = _as_poly(c)
             if not c:
                 continue
@@ -224,26 +227,21 @@ def factorize(d):
         raise UnsupportedVariant("factorization of signed diagrams is out of scope")
     if not isinstance(d, (BrauerDiagram, PartitionDiagram)):
         raise UnsupportedVariant(f"cannot factorize {type(d).__name__}")
-    down, up, through = [], [], []
-    for part in d.parts:
-        # a part lists its bottom vertices first
-        bot = tuple([v for v in part if v[0] == BOTTOM])
-        top = part[len(bot):]
-        if bot and top:
-            through.append(bot)
-            k = len(through)
-            down.append(bot + ((TOP, k),))
-            up.append(((BOTTOM, k),) + top)
-        else:
-            (down if bot else up).append(part)
+    n, labels = d.n, d._labels
+    bottom, top = labels[:n], labels[n:]
+    # the bottom labels number the parts meeting the bottom row in
+    # canonical order, and a through part's label appears on top too;
+    # bottom + through is then already a restricted-growth string
+    through = tuple(sorted(set(bottom).intersection(top)))
     middle = len(through)
     if isinstance(d, WalledBrauerDiagram):
         # through edges run in the order of their bottom ends, which on a
         # walled row puts every color-1 edge before every color-2 one
-        p1 = sum(1 for (a,) in through if d.color(a) == 1)
+        p1 = len(set(bottom[: d.bottom_colors[0]]).intersection(top))
         middle = (p1, middle - p1)
-    cls = type(d)
-    return Factorization(middle, cls(d.bottom, middle, down), cls(middle, d.top, up))
+    down = type(d)._trusted(d.bottom, middle, bottom + through)
+    up = type(d)._trusted(middle, d.top, renumbered(through + top))
+    return Factorization(middle, down, up)
 
 
 _AXIOM_VARIANTS = ("brauer", "partition", "temperley_lieb")

@@ -13,10 +13,10 @@ byte for byte, never by hash.
 """
 
 from fractions import Fraction
-from itertools import accumulate, chain
-from math import comb, factorial, gcd, lcm, prod
+from itertools import chain
+from math import gcd, lcm
 
-from .algebra import composition_table, hom_basis
+from .algebra import _hom_size, composition_table, hom_basis
 from .diagrams import (
     BOTTOM,
     TOP,
@@ -193,26 +193,6 @@ def _objects_up_to(variant, max_size):
                 out.append((n1, total - n1))
         return out
     return list(range(max_size + 1))
-
-
-def _hom_size(variant, x, y):
-    """|Hom(x, y)| by the counting formulas: (n1+m2)! matchings between
-    the two colour classes of a walled object, Bell(n+m) set partitions,
-    Catalan((n+m)/2) planar and (n+m-1)!! other perfect matchings."""
-    if variant == "walled":
-        (n1, n2), (m1, m2) = x, y
-        return factorial(n1 + m2) if n1 + m2 == n2 + m1 else 0
-    total = x + y
-    if variant == "partition":
-        bell = [1]  # row `total` of the Bell triangle starts with Bell(total)
-        for _ in range(total):
-            bell = list(accumulate(bell, initial=bell[-1]))
-        return bell[0]
-    if total % 2:
-        return 0
-    if variant == "temperley_lieb":
-        return comb(total, total // 2) // (total // 2 + 1)
-    return prod(range(1, total, 2))
 
 
 def _check_pair_budget(variant, max_size):

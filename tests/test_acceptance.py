@@ -222,20 +222,22 @@ def test_criterion_5_signed_plain_equivalence():
                             lhs_diagram = make_diagram(
                                 "brauer", n, k, res.result.edges
                             )
-                            lhs_coeff = DeltaPoly.delta_power(
-                                res.closed_count,
-                                res.sign * epsilon_sign(res.result),
+                            lhs_coeff = DeltaPoly(
+                                [0] * res.closed_count
+                                + [res.sign * epsilon_sign(res.result)]
                             )
                             # composite of the images at parameter -d
                             plain = compose(
                                 make_diagram("brauer", m, k, beta.edges),
                                 make_diagram("brauer", n, m, alpha.edges),
                             )
-                            rhs_coeff = DeltaPoly.delta_power(
-                                plain.closed_count,
-                                epsilon_sign(beta)
-                                * epsilon_sign(alpha)
-                                * (-1) ** plain.closed_count,
+                            rhs_coeff = DeltaPoly(
+                                [0] * plain.closed_count
+                                + [
+                                    epsilon_sign(beta)
+                                    * epsilon_sign(alpha)
+                                    * (-1) ** plain.closed_count
+                                ]
                             )
                             assert lhs_diagram == plain.result
                             assert lhs_coeff == rhs_coeff, (alpha, beta)

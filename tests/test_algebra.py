@@ -5,6 +5,7 @@ import pytest
 
 from diagcat import compose, enumerate_diagrams
 from diagcat.algebra import (
+    AlgebraTable,
     build_algebra,
     composition_table,
     discriminant,
@@ -14,7 +15,7 @@ from diagcat.algebra import (
     poly_det,
 )
 from diagcat.coeff import DeltaPoly
-from diagcat.errors import DimensionBudgetExceeded
+from diagcat.errors import DimensionBudgetExceeded, ShapeMismatch
 from helpers import check_associativity
 
 
@@ -182,6 +183,28 @@ class TestAlgebraTables:
     def test_budget(self):
         with pytest.raises(DimensionBudgetExceeded):
             build_algebra("brauer", 5)
+
+    def test_budgets_checked_before_enumerating(self, monkeypatch):
+        def enumerate_forbidden(*args):
+            raise AssertionError("enumerated before the budget check")
+
+        hom_basis.cache_clear()
+        monkeypatch.setattr("diagcat.algebra.enumerate_diagrams", enumerate_forbidden)
+        # 135,135, 208,012 and 115,975 basis diagrams
+        for variant, n in [("brauer", 7), ("temperley_lieb", 12), ("partition", 5)]:
+            with pytest.raises(DimensionBudgetExceeded, match="budget 250$"):
+                build_algebra(variant, n)
+            with pytest.raises(DimensionBudgetExceeded, match="budget 250$"):
+                discriminant(variant, n)
+        # within the algebra's budget, past the discriminant's
+        for variant, n in [("partition", 3), ("brauer", 4), ("signed", 4)]:
+            with pytest.raises(DimensionBudgetExceeded, match="budget 42$"):
+                discriminant(variant, n)
+        with pytest.raises(ShapeMismatch, match="row size -1 is negative"):
+            discriminant("brauer", -1)
+        # the patched name is the one the algebra enumerates through
+        with pytest.raises(AssertionError, match="enumerated"):
+            AlgebraTable("brauer", 1)
 
     def test_gram_symmetric(self):
         for variant, n in [("brauer", 2), ("partition", 2)]:

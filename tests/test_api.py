@@ -16,19 +16,15 @@ PUBLIC = {
     "TemperleyLiebDiagram",
     "WalledBrauerDiagram",
     "check_triangular_axioms",
-    "coeff",
     "compose",
-    "diagrams",
     "disjoint_union",
     "enumerate_diagrams",
     "epsilon_sign",
-    "errors",
     "factorize",
     "identity_diagram",
     "is_downwards",
     "is_planar",
     "is_upwards",
-    "linear",
     "make_diagram",
     "morphism_compose",
     "morphism_tensor",

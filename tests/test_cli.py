@@ -125,6 +125,26 @@ class TestCommands:
         assert code == 0
         assert out == "0\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", "--delta", "-1/2", "2->0:(b1 b2)", "0->2:(t1 t2)"],
+            ["semisimple", "--n", "2", "--delta", "-1/2"],
+            ["taut", "--category", "temperley_lieb", "--q", "-2/3", "2->0:(b1 b2)"],
+            ["verify", "--taut", "--category", "temperley_lieb", "--q", "-2/3", "--max-size", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_rational_after_its_flag(self, capsys, argv):
+        # "--delta -1/2" reads as "--delta=-1/2"
+        k = next(i for i, a in enumerate(argv) if a.startswith("-") and "/" in a)
+        joined = argv[: k - 1] + [f"{argv[k - 1]}={argv[k]}"] + argv[k + 1 :]
+        code, out, err = capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert capture(capsys, joined) == (0, out, "")
+        if argv[0] == "compose":
+            assert out == "-1/2 * (0->0:)\n"
+
     def test_compose_signed(self, capsys):
         code, out, _ = capture(
             capsys,

@@ -9,7 +9,8 @@ operands whose arrows point against the reference orientation, and
 small `verify --taut` sweeps, which read the shared composition
 tables, and the `verify --axioms` and `verify --t3` reports. The
 library's `compose` is pinned per variant by one digest over every
-composable pair of small hom spaces."""
+composable pair of small hom spaces, and `factorize` by one digest over
+every diagram of small hom spaces."""
 
 import hashlib
 from itertools import combinations, product
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from diagcat import compose, enumerate_diagrams, make_diagram
+from diagcat import compose, enumerate_diagrams, factorize, make_diagram
 from diagcat.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -121,6 +122,24 @@ COMPOSITIONS = {
 }
 
 
+# largest object, number of diagrams and SHA-256 of one line
+# (middle, down text, up text) per diagram of every hom space
+FACTORIZATIONS = {
+    "brauer": (4, 169, "4d208db6fa5d0352a2ad9b0710d86169f76e423bd6c1d5462db8b17041d1f732"),
+    "temperley_lieb": (5, 123, "f7cdf8e15b4804844294cd7253607604f54c7a045e1f48fc60a4d952d73a79c4"),
+    "partition": (3, 381, "38746d7b1199f6df9669a5648b7a97bb64ee8ca894de6902e1c296d3e386d7e6"),
+    "degenerate": (3, 381, "38746d7b1199f6df9669a5648b7a97bb64ee8ca894de6902e1c296d3e386d7e6"),
+    "walled": (4, 203, "42f60bacadcd0fe7d7fd7760135af91ae4ee2e0243cd92db7949c5913f3d744a"),
+}
+
+
+def _objects(variant, size):
+    # a walled object's colors add up to at most the size
+    if variant == "walled":
+        return [(a, s - a) for s in range(size + 1) for a in range(s + 1)]
+    return range(size + 1)
+
+
 def _orientations(d):
     """d with each subset of its horizontal edges pointing against the
     reference orientation."""
@@ -142,10 +161,7 @@ def _hom(variant, x, y):
 @pytest.mark.parametrize("variant", COMPOSITIONS)
 def test_compositions_pinned(variant):
     size, pairs, digest = COMPOSITIONS[variant]
-    if variant == "walled":
-        objects = [(a, s - a) for s in range(size + 1) for a in range(s + 1)]
-    else:
-        objects = range(size + 1)
+    objects = _objects(variant, size)
     homs = {(x, y): _hom(variant, x, y) for x, y in product(objects, repeat=2)}
     h = hashlib.sha256()
     count = 0
@@ -157,6 +173,20 @@ def test_compositions_pinned(variant):
                 h.update(line.encode())
                 count += 1
     assert count == pairs
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("variant", FACTORIZATIONS)
+def test_factorizations_pinned(variant):
+    size, count, digest = FACTORIZATIONS[variant]
+    h = hashlib.sha256()
+    diagrams = [
+        d for x, y in product(_objects(variant, size), repeat=2) for d in enumerate_diagrams(variant, x, y)
+    ]
+    for d in diagrams:
+        fac = factorize(d)
+        h.update(f"{fac.middle} {fac.down.to_text()} {fac.up.to_text()}\n".encode())
+    assert len(diagrams) == count
     assert h.hexdigest() == digest
 
 

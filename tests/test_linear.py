@@ -22,7 +22,7 @@ from diagcat import (
 )
 from diagcat import linear
 from diagcat.compose import CompositionResult, compose
-from diagcat.errors import ShapeMismatch, UnsupportedVariant
+from diagcat.errors import ShapeMismatch, UnsupportedVariant, VariantMismatch
 
 
 def b(i):
@@ -126,6 +126,17 @@ class TestMorphismAlgebra:
         f = Morphism("signed", 2, 0, {flip: 1})
         assert f == Morphism.from_diagram(flip) == Morphism.from_diagram(ref, -1)
         assert Morphism("signed", 2, 0, {flip: 1, ref: 1}).is_zero()
+
+    def test_terms_of_another_class_refused(self):
+        partition_cap = make_diagram("partition", 2, 0, [[b(1), b(2)]])
+        with pytest.raises(VariantMismatch):
+            Morphism("brauer", 2, 0, {partition_cap: 1})
+        # a planar matching is a Brauer diagram, but of another variant
+        planar_cap = make_diagram("temperley_lieb", 2, 0, [(b(1), b(2))])
+        with pytest.raises(VariantMismatch):
+            Morphism("brauer", 2, 0, {CAP: 1, planar_cap: 1})
+        with pytest.raises(UnsupportedVariant):
+            Morphism("bruaer", 2, 0, {CAP: 1})
 
     def test_degenerate_drops_zero_terms(self):
         alpha = Morphism.from_diagram(make_diagram("degenerate", 0, 2, [[t(1), t(2)]]))
