@@ -29,14 +29,13 @@ class AlgebraTable:
     (delta power, sign, basis index) for basis[i] after basis[j].
     """
 
-    __slots__ = ("variant", "n", "basis", "index", "table")
+    __slots__ = ("variant", "n", "basis", "table")
 
     def __init__(self, variant, n):
         _dimension(variant, n)
         self.variant = variant
         self.n = n
-        self.basis = basis = hom_basis(variant, n, n)
-        self.index = {d: i for i, d in enumerate(basis)}
+        self.basis = hom_basis(variant, n, n)
         self.table = composition_table(variant, n, n, n)
 
     @property

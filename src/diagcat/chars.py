@@ -14,7 +14,7 @@ from itertools import permutations, zip_longest
 from math import factorial
 
 from .diagrams import check_nonnegative, enumerate_diagrams, renumbered
-from .errors import SizeMismatch
+from .errors import NotAnIntegerPartition, SizeMismatch
 
 
 def partition_key(mu):
@@ -27,7 +27,11 @@ def parse_partition(text):
     text = text.strip()
     if text in ("", "()", "0"):
         return ()
-    return check_partition(int(p) for p in text.split(","))
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise NotAnIntegerPartition(f"parts must be integers: {text!r}") from None
+    return check_partition(parts)
 
 
 def check_partition(parts):
@@ -44,8 +48,8 @@ def check_partition(parts):
     if rising or (out and out[-1] < 0):
         parts = tuple(out)
         if min(parts) < 0:
-            raise ValueError(f"negative part in {parts}")
-        raise ValueError(f"parts must be weakly decreasing: {parts}")
+            raise NotAnIntegerPartition(f"negative part in {parts}")
+        raise NotAnIntegerPartition(f"parts must be weakly decreasing: {parts}")
     return tuple(out)
 
 

@@ -57,6 +57,22 @@ class SizeMismatch(DiagramError):
     code = "size_mismatch"
 
 
+# the two below are ValueErrors too, as these refusals were before they
+# had codes of their own
+
+
+class InvalidParameter(DiagramError, ValueError):
+    """A tautological functor's dimension or quantum parameter is refused."""
+
+    code = "invalid_parameter"
+
+
+class NotAnIntegerPartition(DiagramError, ValueError):
+    """Parts that are not integers, a negative part, or parts that rise."""
+
+    code = "not_an_integer_partition"
+
+
 class DiagramSyntaxError(DiagramError):
     """Parse failure in the diagram text grammar."""
 

@@ -5,6 +5,7 @@ and the verifiers of the triangular axioms built on top of them.
 from itertools import product
 from math import factorial
 
+from .algebra import _hom_size, hom_basis
 from .coeff import DeltaPoly
 from .compose import compose
 from .diagrams import (
@@ -13,7 +14,6 @@ from .diagrams import (
     SignedBrauerDiagram,
     WalledBrauerDiagram,
     check_nonnegative,
-    enumerate_diagrams,
     identity_diagram,
     is_downwards,
     is_upwards,
@@ -22,7 +22,7 @@ from .diagrams import (
     disjoint_union,
     variant_class,
 )
-from .errors import ShapeMismatch, UnsupportedVariant, VariantMismatch
+from .errors import DimensionBudgetExceeded, ShapeMismatch, UnsupportedVariant, VariantMismatch
 
 
 def _as_poly(c):
@@ -246,22 +246,50 @@ def factorize(d):
 
 _AXIOM_VARIANTS = ("brauer", "partition", "temperley_lieb")
 
+# Down-after-up pairs, counted as in _check_pair_budget. On 2 CPUs
+# (Python 3.11.7) verify_t3 took 0.2 s on partition 4 -> 4 (99,360,
+# criterion 3's largest), 0.2 s on brauer 5 -> 5 (113,400) and 2.9 s on
+# temperley_lieb 11 -> 11 (58,786, on 22 vertices); it took 1.3 s on
+# partition 5 -> 4 (507,528) and 9 s on brauer 6 -> 6 (7,484,400), and
+# the axiom checks to brauer size 6 (7,647,592) took 21 s.
+T3_PAIR_BUDGET = 200_000
+
 
 def _middle_aut_order(variant, p):
     # order of the bijection group of the middle object inside the category
     return 1 if variant == "temperley_lieb" else factorial(p)
 
 
-def _t3_report(variant, n, m, basis, select):
-    """verify_t3's report on Hom([n],[m]), whose diagrams `basis` lists,
-    and whether none of its up-after-down composites closed a loop.
-    select(x, y, flag) lists the diagrams of Hom(x, y) on which flag,
-    `is_upwards` or `is_downwards`, holds."""
+def _check_pair_budget(variant, spaces):
+    """Refuse, before any basis is built, hom spaces with more than
+    T3_PAIR_BUDGET down-after-up pairs in all. A diagram of Hom([n],[m])
+    through p <= min(n, m) middle vertices comes from as many pairs as
+    [p] has bijections, which bounds the pairs. The count stops at the
+    first space past the budget, so none larger is counted."""
+    pairs = 0
+    for n, m in spaces:
+        pairs += _hom_size(variant, n, m) * _middle_aut_order(variant, min(n, m))
+        if pairs > T3_PAIR_BUDGET:
+            raise DimensionBudgetExceeded(
+                f"{pairs} pairs up to size {max(n, m)} exceed the pair budget {T3_PAIR_BUDGET}"
+            )
+
+
+def _flagged(variant, x, y, flag):
+    """The diagrams of Hom(x, y) on which `is_upwards` or `is_downwards` holds."""
+    return [d for d in hom_basis(variant, x, y) if flag(d)]
+
+
+def _t3_report(variant, n, m):
+    """verify_t3's report on Hom([n],[m]), and whether none of its
+    up-after-down composites closed a loop."""
+    basis = hom_basis(variant, n, m)
     through = {}  # diagram -> the middle object of each pair giving it
     loop_free = True
-    for p in range(min(n, m) + 1):
-        ups = select(p, m, is_upwards)
-        for down in select(n, p, is_downwards):
+    # an empty hom space has an empty factor at every middle object
+    for p in range(min(n, m) + 1 if basis else 0):
+        ups = _flagged(variant, p, m, is_upwards)
+        for down in _flagged(variant, n, p, is_downwards):
             for up in ups:
                 res = compose(up, down)
                 if res.closed_count != 0:
@@ -292,50 +320,47 @@ def verify_t3(variant, n, m):
 
     Every diagram must arise from exactly one orbit of (down, up) pairs
     under the middle bijection group acting freely, and the number of
-    orbits must equal the hom dimension.
+    orbits must equal the hom dimension. More than T3_PAIR_BUDGET pairs
+    are refused with DimensionBudgetExceeded before any basis is built.
     """
     if variant not in _AXIOM_VARIANTS:
         raise UnsupportedVariant.of("the (T3) count", variant, _AXIOM_VARIANTS)
-
-    def select(x, y, flag):
-        return [d for d in enumerate_diagrams(variant, x, y) if flag(d)]
-
-    return _t3_report(variant, n, m, enumerate_diagrams(variant, n, m), select)[0]
+    check_nonnegative("row size", n, m)
+    _check_pair_budget(variant, [(n, m)])
+    return _t3_report(variant, n, m)[0]
 
 
 def check_triangular_axioms(variant, max_size):
     """Exhaustively verify the triangular axioms up to the given size.
 
-    Each hom space is enumerated once, as (diagram, upwards, downwards)
-    triples; each pair that criterion (c) or (T3) needs is composed once.
+    Every hom space is read from the shared `hom_basis`; each pair that
+    criterion (c) or (T3) needs is composed once. More than
+    T3_PAIR_BUDGET (T3) pairs in all are refused before any basis is built.
     """
     if variant not in _AXIOM_VARIANTS:
         raise UnsupportedVariant.of("the triangular-axiom check", variant, _AXIOM_VARIANTS)
     check_nonnegative("max_size", max_size)
     sizes = range(max_size + 1)
-    bases = {}
-    for n, m in product(sizes, repeat=2):
-        homs = enumerate_diagrams(variant, n, m)
-        bases[n, m] = [(d, is_upwards(d), is_downwards(d)) for d in homs]
-
-    def select(x, y, flag):
-        k = 1 if flag is is_upwards else 2  # the flag's place in a triple
-        return [t[0] for t in bases[x, y] if t[k]]
-
+    # the spaces of each size come after those of the smaller sizes
+    growing = ((n, m) for s in sizes for n, m in product(range(s + 1), repeat=2) if s in (n, m))
+    _check_pair_budget(variant, growing)
     t1_pass = t2_pass = crit_c_pass = crit_d_pass = True
+    hom_dims = {}
     t3_reports = {}
-    for (n, m), basis in bases.items():
+    for n, m in product(sizes, repeat=2):
+        basis = hom_basis(variant, n, m)
+        hom_dims[f"{n}->{m}"] = len(basis)
         # (T1), structural part: both-ways diagrams are exactly the bijections
         if n == m:
-            both = [d for d, up, down in basis if up and down]
+            both = [d for d in basis if is_upwards(d) and is_downwards(d)]
             expected = _middle_aut_order(variant, n)
             if len(both) != expected or not all(_is_bijection_diagram(d) for d in both):
                 t1_pass = False
-        for d, up, down in basis:
-            # (T2): hom spaces of the wide subcategories respect the size order
-            if (up and n > m) or (down and n < m):
-                t2_pass = False
-            # criterion (d): the explicit factorization recomposes
+        # (T2): hom spaces of the wide subcategories respect the size order
+        if n != m and _flagged(variant, n, m, is_upwards if n > m else is_downwards):
+            t2_pass = False
+        # criterion (d): the explicit factorization recomposes
+        for d in basis:
             fac = factorize(d)
             res = compose(fac.up, fac.down)
             if res.closed_count != 0 or res.result != d:
@@ -344,28 +369,25 @@ def check_triangular_axioms(variant, max_size):
                 crit_d_pass = False
         # orbit counting confirms (d)'s uniqueness modulo the middle
         # bijections, and composes (c)'s up-after-down pairs
-        rep, loop_free = _t3_report(variant, n, m, [d for d, _, _ in basis], select)
+        rep, loop_free = _t3_report(variant, n, m)
         t3_reports[f"{n}->{m}"] = rep
         crit_c_pass = crit_c_pass and loop_free
         crit_d_pass = crit_d_pass and rep["pass"]
 
-    # criterion (c): the subcategories are closed under composition
-    wide = {key: [t for t in basis if t[1] or t[2]] for key, basis in bases.items()}
+    # criterion (c): the subcategories are closed under composition; a
+    # pair of bijections lies in both and is composed once
     for n, m, k in product(sizes, repeat=3):
-        for f, f_up, f_down in wide[n, m]:
-            for g, g_up, g_down in wide[m, k]:
-                up, down = f_up and g_up, f_down and g_down
-                if not (up or down):
-                    continue
-                res = compose(g, f)
-                if res.closed_count != 0:
-                    crit_c_pass = False
-                if up and not is_upwards(res.result):
-                    crit_c_pass = False
-                if down and not is_downwards(res.result):
-                    crit_c_pass = False
+        flags = {}
+        for flag in (is_upwards, is_downwards):
+            gs = _flagged(variant, m, k, flag)
+            for f in _flagged(variant, n, m, flag):
+                for g in gs:
+                    flags.setdefault((f, g), []).append(flag)
+        for (f, g), held in flags.items():
+            res = compose(g, f)
+            if res.closed_count != 0 or not all(flag(res.result) for flag in held):
+                crit_c_pass = False
 
-    hom_dims = {f"{n}->{m}": len(basis) for (n, m), basis in bases.items()}
     return {
         "category": variant,
         "max_size": max_size,

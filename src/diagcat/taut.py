@@ -28,6 +28,7 @@ from .diagrams import (
 )
 from .errors import (
     DimensionBudgetExceeded,
+    InvalidParameter,
     UnsupportedVariant,
     VariantMismatch,
 )
@@ -65,17 +66,17 @@ class TautContext:
         if variant == "temperley_lieb":
             q = Fraction(q if q is not None else 1)
             if q == 0:
-                raise ValueError("q must be nonzero")
+                raise InvalidParameter("q must be nonzero")
             dim = 2
             parameter = -q - 1 / q
             cap = {(0, 1): -1 / q, (1, 0): 1}
             cup = {(0, 1): 1, (1, 0): -q}
         else:
             if dim is None or dim < 0:
-                raise ValueError("dim must be a non-negative integer")
+                raise InvalidParameter("dim must be a non-negative integer")
             if variant == "signed":
                 if dim % 2 != 0:
-                    raise ValueError("the oriented variant needs even dimension")
+                    raise InvalidParameter("the oriented variant needs even dimension")
                 cap = cup = _form_entries(dim)
             q = None
             parameter = dim

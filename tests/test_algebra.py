@@ -169,7 +169,7 @@ class TestAlgebraTables:
 
         for variant, n in [("brauer", 2), ("partition", 2), ("temperley_lieb", 3)]:
             alg = build_algebra(variant, n)
-            ident = alg.index[identity_diagram(variant, n)]
+            ident = alg.basis.index(identity_diagram(variant, n))
             for j in range(alg.dimension):
                 assert alg.product(ident, j) == (0, 1, j)
                 assert alg.product(j, ident) == (0, 1, j)

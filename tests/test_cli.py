@@ -369,7 +369,48 @@ class TestExitCodes:
             ),
             (
                 ["verify", "--taut", "--category", "signed", "--dim", "3"],
-                {"error": "domain_error", "message": "the oriented variant needs even dimension"},
+                {"error": "invalid_parameter", "message": "the oriented variant needs even dimension"},
+            ),
+            (
+                ["verify", "--taut", "--category", "temperley_lieb", "--q", "0"],
+                {"error": "invalid_parameter", "message": "q must be nonzero"},
+            ),
+            (
+                ["taut", "--dim", "-1", "0->0:"],
+                {"error": "invalid_parameter", "message": "dim must be a non-negative integer"},
+            ),
+            (
+                ["verify", "--taut"],
+                {"error": "invalid_parameter", "message": "dim must be a non-negative integer"},
+            ),
+            (
+                ["char", "--lambda", "x"],
+                {"error": "not_an_integer_partition", "message": "parts must be integers: 'x'"},
+            ),
+            (
+                ["mult", "--delta-of", "1,2", "--weight", "3"],
+                {
+                    "error": "not_an_integer_partition",
+                    "message": "parts must be weakly decreasing: (1, 2)",
+                },
+            ),
+            (
+                ["char", "--lambda", "2", "--mu", "2,-1"],
+                {"error": "not_an_integer_partition", "message": "negative part in (2, -1)"},
+            ),
+            (
+                ["verify", "--t3", "7", "7"],
+                {
+                    "error": "dimension_budget_exceeded",
+                    "message": "681080400 pairs up to size 7 exceed the pair budget 200000",
+                },
+            ),
+            (
+                ["verify", "--axioms", "--max-size", "7"],
+                {
+                    "error": "dimension_budget_exceeded",
+                    "message": "7647592 pairs up to size 6 exceed the pair budget 200000",
+                },
             ),
         ],
     )

@@ -9,16 +9,25 @@ operands whose arrows point against the reference orientation, and
 small `verify --taut` sweeps, which read the shared composition
 tables, and the `verify --axioms` and `verify --t3` reports. The
 library's `compose` is pinned per variant by one digest over every
-composable pair of small hom spaces, and `factorize` by one digest over
-every diagram of small hom spaces."""
+composable pair of small hom spaces, `factorize` by one digest over
+every diagram of small hom spaces, and the axiom checks by one digest
+over the reports of criterion 3's range."""
 
 import hashlib
+import json
 from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
-from diagcat import compose, enumerate_diagrams, factorize, make_diagram
+from diagcat import (
+    check_triangular_axioms,
+    compose,
+    enumerate_diagrams,
+    factorize,
+    make_diagram,
+    verify_t3,
+)
 from diagcat.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -133,6 +142,16 @@ FACTORIZATIONS = {
 }
 
 
+# SHA-256 of one line of sorted JSON per report: verify_t3 on every
+# Hom([n], [m]) with n + m <= 8, then check_triangular_axioms at every
+# size up to the largest given
+T3_REPORTS = "b8a1072332fc634e695c37c385b66243494ddd97bd8b64d156b9b57809016923"
+AXIOM_CHECKS = (
+    {"brauer": 4, "partition": 3, "temperley_lieb": 5},
+    "dbc2b4349d402ea5193fb1c333b24657a4519ac35b0aeb81548a7037edfdf736",
+)
+
+
 def _objects(variant, size):
     # a walled object's colors add up to at most the size
     if variant == "walled":
@@ -225,3 +244,31 @@ def test_axiom_report_pinned(case, capsys):
     assert run(["verify", "--category", case[0], *flags, "--json"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == json_digest
+
+
+def _report_digest(reports):
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update((json.dumps(rep, sort_keys=True) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_t3_reports_pinned():
+    reports = [
+        verify_t3(variant, n, m)
+        for variant in ("brauer", "partition", "temperley_lieb")
+        for n in range(9)
+        for m in range(9 - n)
+    ]
+    assert len(reports) == 135
+    assert _report_digest(reports) == T3_REPORTS
+
+
+def test_axiom_checks_pinned():
+    largest, digest = AXIOM_CHECKS
+    reports = [
+        check_triangular_axioms(variant, size)
+        for variant, top in largest.items()
+        for size in range(top + 1)
+    ]
+    assert _report_digest(reports) == digest

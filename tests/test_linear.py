@@ -1,7 +1,11 @@
+import importlib
+import pkgutil
 import random
+from collections import Counter
 
 import pytest
 
+import diagcat
 from diagcat import (
     DeltaPoly,
     Morphism,
@@ -21,8 +25,14 @@ from diagcat import (
     verify_t3,
 )
 from diagcat import linear
+from diagcat.algebra import hom_basis
 from diagcat.compose import CompositionResult, compose
-from diagcat.errors import ShapeMismatch, UnsupportedVariant, VariantMismatch
+from diagcat.errors import (
+    DimensionBudgetExceeded,
+    ShapeMismatch,
+    UnsupportedVariant,
+    VariantMismatch,
+)
 
 
 def b(i):
@@ -297,6 +307,89 @@ class TestVerifyT3:
     def test_temperley_lieb(self):
         assert verify_t3("temperley_lieb", 3, 3)["pass"]
         assert verify_t3("temperley_lieb", 2, 4)["pass"]
+
+    def test_criterion_3_loop_builds_each_hom_space_once(self, monkeypatch):
+        # the enumerator is replaced in every diagcat module, whether it
+        # holds one or not, so a second route to a hom space shows here
+        enumerations = Counter()
+        compositions = 0
+
+        def counting_enumerate(variant, x, y):
+            enumerations[variant, x, y] += 1
+            return enumerate_diagrams(variant, x, y)
+
+        def counting_compose(g, f):
+            nonlocal compositions
+            compositions += 1
+            return compose(g, f)
+
+        for info in pkgutil.iter_modules(diagcat.__path__):
+            module = importlib.import_module(f"diagcat.{info.name}")
+            monkeypatch.setattr(module, "enumerate_diagrams", counting_enumerate, raising=False)
+        monkeypatch.setattr(linear, "compose", counting_compose)
+        hom_basis.cache_clear()
+        for variant in ("brauer", "partition", "temperley_lieb"):
+            for n in range(9):
+                for m in range(9 - n):
+                    verify_t3(variant, n, m)
+        assert len(enumerations) == 135
+        assert max(enumerations.values()) == 1
+        assert compositions == 68_291
+
+    def test_empty_hom_space_is_not_searched(self, monkeypatch):
+        # Hom([7], [8]) is empty, so every middle object has an empty
+        # factor; the 135,135 diagrams of Hom([7], [7]) are not listed
+        monkeypatch.setattr(linear, "compose", None)
+        hom_basis.cache_clear()
+        rep = verify_t3("brauer", 7, 8)
+        assert rep["lhs_dim"] == rep["rhs_dim"] == 0 and rep["pass"]
+        assert hom_basis.cache_info().currsize == 1
+
+
+class TestPairBudget:
+    def test_refused_before_enumerating(self, monkeypatch):
+        def enumerate_forbidden(*args):
+            raise AssertionError("enumerated before the budget check")
+
+        hom_basis.cache_clear()
+        monkeypatch.setattr("diagcat.algebra.enumerate_diagrams", enumerate_forbidden)
+        # 135,135 * 7! down-after-up pairs of brauer Hom([7], [7]) at most
+        for variant, n, m in [
+            ("brauer", 7, 7),
+            ("brauer", 8, 8),
+            ("brauer", 6, 6),
+            ("partition", 5, 4),
+            ("temperley_lieb", 12, 12),
+        ]:
+            with pytest.raises(DimensionBudgetExceeded, match="budget 200000$"):
+                verify_t3(variant, n, m)
+        for variant, size in [("brauer", 6), ("brauer", 7), ("partition", 5), ("temperley_lieb", 12)]:
+            with pytest.raises(DimensionBudgetExceeded, match="budget 200000$"):
+                check_triangular_axioms(variant, size)
+        # a huge size is refused at the first size past the budget
+        with pytest.raises(DimensionBudgetExceeded, match=r"up to size 5 exceed"):
+            check_triangular_axioms("partition", 10**9)
+        # the patched name is the one the checks enumerate through
+        with pytest.raises(AssertionError, match="enumerated"):
+            verify_t3("brauer", 1, 1)
+        with pytest.raises(AssertionError, match="enumerated"):
+            check_triangular_axioms("brauer", 1)
+
+    def test_largest_admitted(self):
+        # criterion 3's largest (T3) count, partition 4 -> 4, has at most
+        # 4140 * 4! = 99,360 pairs; the largest admitted of a few shapes
+        for variant, n, m in [
+            ("partition", 4, 4),
+            ("partition", 6, 3),
+            ("brauer", 5, 5),
+            ("brauer", 6, 4),
+            ("temperley_lieb", 11, 11),
+        ]:
+            linear._check_pair_budget(variant, [(n, m)])
+        # the bounds of the spaces add up
+        linear._check_pair_budget("partition", [(4, 4), (4, 4)])
+        with pytest.raises(DimensionBudgetExceeded, match="^223560 pairs up to size 5 exceed"):
+            linear._check_pair_budget("partition", [(4, 4), (4, 4), (3, 5)])
 
 
 class TestAxioms:
