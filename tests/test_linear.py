@@ -377,7 +377,7 @@ class TestPairBudget:
 
     def test_largest_admitted(self):
         # criterion 3's largest (T3) count, partition 4 -> 4, has at most
-        # 4140 * 4! = 99,360 pairs; the largest admitted of a few shapes
+        # 4140 * 4! = 99,360 pairs; the others are admitted with less room
         for variant, n, m in [
             ("partition", 4, 4),
             ("partition", 6, 3),
