@@ -6,10 +6,11 @@ shared with the tautological sweeps.
 
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, lcm, prod
+from math import inf, lcm
+from operator import mul
 
 from .coeff import DeltaPoly, _reduced, int_exact_div, int_mul, int_sub, rational_roots
-from .compose import compose
+from .compose import _glue, _glued, epsilon_sign
 from .diagrams import check_nonnegative, enumerate_diagrams
 from .errors import DimensionBudgetExceeded, UnsupportedVariant
 
@@ -20,6 +21,8 @@ BASIS_BUDGET = 250
 DISCRIMINANT_BASIS_BUDGET = 42
 
 _ALGEBRA_VARIANTS = ("brauer", "partition", "temperley_lieb", "signed")
+# the degenerate rule can give zero, and partial injections count no loops
+_TABLE_VARIANTS = _ALGEBRA_VARIANTS + ("walled",)
 
 
 class AlgebraTable:
@@ -56,24 +59,29 @@ class AlgebraTable:
         return [[traces[k]._shifted(c, s) for c, s, k in row] for row in self.table]
 
 
-def _hom_size(variant, x, y):
+def _hom_size(variant, x, y, budget=inf):
     """|Hom(x, y)| by the counting formulas: (n1+m2)! matchings between
     the two colour classes of a walled object, Bell(n+m) set partitions,
-    Catalan((n+m)/2) planar and (n+m-1)!! other perfect matchings."""
+    Catalan((n+m)/2) planar and (n+m-1)!! other perfect matchings.
+
+    Each is the last of a nondecreasing sequence, so a count past the
+    budget is refused at the first term past it."""
     if variant == "walled":
         (n1, n2), (m1, m2) = x, y
-        return factorial(n1 + m2) if n1 + m2 == n2 + m1 else 0
-    total = x + y
-    if variant == "partition":
-        bell = [1]  # row `total` of the Bell triangle starts with Bell(total)
-        for _ in range(total):
-            bell = list(accumulate(bell, initial=bell[-1]))
-        return bell[0]
-    if total % 2:
+        terms = accumulate(range(1, n1 + m2 + 1), mul, initial=1) if n1 + m2 == n2 + m1 else [0]
+    elif variant in ("partition", "degenerate"):
+        rows = accumulate(range(x + y), lambda row, _: list(accumulate(row, initial=row[-1])), initial=[1])
+        terms = (row[0] for row in rows)
+    elif (x + y) % 2:
         return 0
-    if variant == "temperley_lieb":
-        return comb(total, total // 2) // (total // 2 + 1)
-    return prod(range(1, total, 2))
+    elif variant == "temperley_lieb":
+        terms = accumulate(range((x + y) // 2), lambda c, k: c * (4 * k + 2) // (k + 2), initial=1)
+    else:
+        terms = accumulate(range(1, x + y, 2), mul, initial=1)
+    for count in terms:
+        if count > budget:
+            raise DimensionBudgetExceeded(f"Hom({x}, {y}) has more diagrams than the budget {budget}")
+    return count
 
 
 def _dimension(variant, n):
@@ -82,10 +90,7 @@ def _dimension(variant, n):
     if variant not in _ALGEBRA_VARIANTS:
         raise UnsupportedVariant.of("the diagram algebra", variant, _ALGEBRA_VARIANTS)
     check_nonnegative("row size", n)
-    size = _hom_size(variant, n, n)
-    if size > BASIS_BUDGET:
-        raise DimensionBudgetExceeded(f"{size} basis diagrams exceed the budget {BASIS_BUDGET}")
-    return size
+    return _hom_size(variant, n, n, BASIS_BUDGET)
 
 
 @lru_cache(maxsize=None)
@@ -99,19 +104,26 @@ def composition_table(variant, x, y, z):
     """table[i][j] = (closed, sign, k): hom_basis(y, z)[i] after
     hom_basis(x, y)[j] is d^closed * sign * hom_basis(x, z)[k].
 
+    Built on labels: each row is one pass of `compose`'s union-find over
+    the alphas, and labels identify a composite within its hom space.
     Equal entries are one shared tuple, so a table costs about one
     pointer per pair. The algebra on [n] and every tautological sweep
-    through the triple read the same table.
+    through the triple read the same table. Signs are as in `compose`.
     """
-    index = {d: k for k, d in enumerate(hom_basis(variant, x, z))}
+    if variant not in _TABLE_VARIANTS:
+        raise UnsupportedVariant.of("the composition table", variant, _TABLE_VARIANTS)
+    eps, loop_sign = (epsilon_sign, -1) if variant == "signed" else (lambda d: 1, 1)
     alphas = hom_basis(variant, x, y)
+    glued, alpha_eps = [_glued(a) for a in alphas], [eps(a) for a in alphas]
+    index = {d._labels: (k, eps(d)) for k, d in enumerate(hom_basis(variant, x, z))}
     entries = {}
     table = []
     for beta in hom_basis(variant, y, z):
+        beta_eps = eps(beta)
         row = []
-        for alpha in alphas:
-            res = compose(beta, alpha)
-            entry = (res.closed_count, res.sign, index[res.result])
+        for e, (closed, labels, _) in zip(alpha_eps, _glue(beta._labels, beta.n, glued)):
+            k, target_eps = index[labels]
+            entry = (closed, e * beta_eps * target_eps * loop_sign**closed, k)
             row.append(entries.setdefault(entry, entry))
         table.append(tuple(row))
     return tuple(table)

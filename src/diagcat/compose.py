@@ -15,6 +15,8 @@ from .diagrams import (
 )
 from .errors import ColorMismatch, ShapeMismatch, VariantMismatch
 
+_ROOTS = list(range(64))  # a fresh union-find of up to 64 parts is a slice of it
+
 
 class CompositionResult:
     """Outcome of composing beta after alpha.
@@ -57,50 +59,56 @@ def _check(beta, alpha):
         )
 
 
-def _glue(beta, alpha):
-    """Stack alpha under beta and merge their parts through the middle.
+def _glue(b_labels, mid, alphas):
+    """Stack each alpha under one beta and merge their parts through the
+    `mid` middle vertices: the kernel of `compose` and of the tables.
 
-    The parts are a matching's edges or a partition's blocks, and
-    `labels()` names the part at each vertex. Every middle vertex lies
-    in one part of alpha and one part of beta; a union-find over the
-    parts (alpha's labels first, then beta's) joins that pair at each
-    middle vertex. The outer vertices b1..bn, t1..tp are then scanned
-    and their roots numbered by first appearance, which gives the
-    composite's labels. Returns (closed, labels, cyclic): the number of
-    merged components without an outer vertex, the composite's labels,
-    and whether some middle vertex joined two parts that were already
-    connected.
+    The parts are a matching's edges or a partition's blocks, and the
+    labels name the part at each vertex. Each alpha comes as `_glued`
+    gives it, beta as its labels. A union-find over the parts (alpha's
+    first, then beta's) joins the two parts at each middle vertex. The
+    outer vertices b1..bn, t1..tp are then scanned and their roots
+    numbered by first appearance, which gives the composite's labels.
+    Returns, per alpha, (closed, labels, cyclic): the number of merged
+    components without an outer vertex, the composite's labels, and
+    whether some middle vertex joined two parts already connected.
     """
-    n, mid = alpha.n, alpha.m
-    a_labels, b_labels = alpha._labels, beta._labels
-    na = max(a_labels) + 1 if a_labels else 0
-    parts = na + (max(b_labels) + 1 if b_labels else 0)
+    b_mid, b_top = b_labels[:mid], b_labels[mid:]
+    nb = max(b_labels) + 1 if b_labels else 0
+    out = []
+    for na, a_bottom, a_mid in alphas:
+        parts = na + nb
+        parent = _ROOTS[:parts] if parts <= 64 else list(range(parts))
+        joins = 0
+        for x, y in zip(a_mid, b_mid):
+            y += na
+            while parent[x] != x:
+                x = parent[x]
+            while parent[y] != y:
+                y = parent[y]
+            if x != y:
+                parent[y] = x
+                joins += 1
+        number = {}
+        labels = []
+        for x in a_bottom:
+            while parent[x] != x:
+                x = parent[x]
+            labels.append(number.setdefault(x, len(number)))
+        for x in b_top:
+            x += na
+            while parent[x] != x:
+                x = parent[x]
+            labels.append(number.setdefault(x, len(number)))
+        # each join that finds its two parts already connected closes a cycle
+        out.append((parts - joins - len(number), tuple(labels), mid > joins))
+    return out
 
-    parent = list(range(parts))
-    joins = 0
-    for x, y in zip(a_labels[n:], b_labels[:mid]):
-        y += na
-        while parent[x] != x:
-            x = parent[x]
-        while parent[y] != y:
-            y = parent[y]
-        if x != y:
-            parent[y] = x
-            joins += 1
 
-    number = {}
-    labels = []
-    for x in a_labels[:n]:
-        while parent[x] != x:
-            x = parent[x]
-        labels.append(number.setdefault(x, len(number)))
-    for x in b_labels[mid:]:
-        x += na
-        while parent[x] != x:
-            x = parent[x]
-        labels.append(number.setdefault(x, len(number)))
-    # each join that finds its two parts already connected closes a cycle
-    return parts - joins - len(number), tuple(labels), mid > joins
+def _glued(alpha):
+    """(part count, bottom labels, middle labels) of alpha, as `_glue` reads it."""
+    n, labels = alpha.n, alpha._labels
+    return max(labels) + 1 if labels else 0, labels[:n], labels[n:]
 
 
 def epsilon_sign(alpha):
@@ -162,7 +170,7 @@ def compose(beta, alpha):
       loops: a middle vertex neither operand maps is a part of its own.
     """
     _check(beta, alpha)
-    closed, labels, cyclic = _glue(beta, alpha)
+    [(closed, labels, cyclic)] = _glue(beta._labels, alpha.m, [_glued(alpha)])
     cls = type(alpha)
     result = cls._trusted(alpha.bottom, beta.top, labels)
     if cls is SignedBrauerDiagram:

@@ -268,19 +268,22 @@ def _check_pair_budget(variant, spaces):
     first space past the budget, so none larger is counted."""
     pairs = 0
     for n, m in spaces:
-        pairs += _hom_size(variant, n, m) * _middle_aut_order(variant, min(n, m))
+        pairs += _hom_size(variant, n, m, T3_PAIR_BUDGET) * _middle_aut_order(variant, min(n, m))
         if pairs > T3_PAIR_BUDGET:
             raise DimensionBudgetExceeded(
                 f"{pairs} pairs up to size {max(n, m)} exceed the pair budget {T3_PAIR_BUDGET}"
             )
 
 
-def _flagged(variant, x, y, flag):
-    """The diagrams of Hom(x, y) on which `is_upwards` or `is_downwards` holds."""
-    return [d for d in hom_basis(variant, x, y) if flag(d)]
+def _flagged(variant, x, y, flags):
+    """(upwards, downwards) diagrams of Hom(x, y), flagged once per check in its dict `flags`."""
+    if (x, y) not in flags:
+        basis = hom_basis(variant, x, y)
+        flags[x, y] = [d for d in basis if is_upwards(d)], [d for d in basis if is_downwards(d)]
+    return flags[x, y]
 
 
-def _t3_report(variant, n, m):
+def _t3_report(variant, n, m, flags):
     """verify_t3's report on Hom([n],[m]), and whether none of its
     up-after-down composites closed a loop."""
     basis = hom_basis(variant, n, m)
@@ -288,8 +291,8 @@ def _t3_report(variant, n, m):
     loop_free = True
     # an empty hom space has an empty factor at every middle object
     for p in range(min(n, m) + 1 if basis else 0):
-        ups = _flagged(variant, p, m, is_upwards)
-        for down in _flagged(variant, n, p, is_downwards):
+        ups = _flagged(variant, p, m, flags)[0]
+        for down in _flagged(variant, n, p, flags)[1]:
             for up in ups:
                 res = compose(up, down)
                 if res.closed_count != 0:
@@ -327,7 +330,7 @@ def verify_t3(variant, n, m):
         raise UnsupportedVariant.of("the (T3) count", variant, _AXIOM_VARIANTS)
     check_nonnegative("row size", n, m)
     _check_pair_budget(variant, [(n, m)])
-    return _t3_report(variant, n, m)[0]
+    return _t3_report(variant, n, m, {})[0]
 
 
 def check_triangular_axioms(variant, max_size):
@@ -347,17 +350,19 @@ def check_triangular_axioms(variant, max_size):
     t1_pass = t2_pass = crit_c_pass = crit_d_pass = True
     hom_dims = {}
     t3_reports = {}
+    flags = {}
     for n, m in product(sizes, repeat=2):
         basis = hom_basis(variant, n, m)
         hom_dims[f"{n}->{m}"] = len(basis)
         # (T1), structural part: both-ways diagrams are exactly the bijections
+        ups, downs = _flagged(variant, n, m, flags)
         if n == m:
-            both = [d for d in basis if is_upwards(d) and is_downwards(d)]
+            both = set(ups).intersection(downs)
             expected = _middle_aut_order(variant, n)
             if len(both) != expected or not all(_is_bijection_diagram(d) for d in both):
                 t1_pass = False
         # (T2): hom spaces of the wide subcategories respect the size order
-        if n != m and _flagged(variant, n, m, is_upwards if n > m else is_downwards):
+        if n != m and (ups if n > m else downs):
             t2_pass = False
         # criterion (d): the explicit factorization recomposes
         for d in basis:
@@ -369,7 +374,7 @@ def check_triangular_axioms(variant, max_size):
                 crit_d_pass = False
         # orbit counting confirms (d)'s uniqueness modulo the middle
         # bijections, and composes (c)'s up-after-down pairs
-        rep, loop_free = _t3_report(variant, n, m)
+        rep, loop_free = _t3_report(variant, n, m, flags)
         t3_reports[f"{n}->{m}"] = rep
         crit_c_pass = crit_c_pass and loop_free
         crit_d_pass = crit_d_pass and rep["pass"]
@@ -377,13 +382,13 @@ def check_triangular_axioms(variant, max_size):
     # criterion (c): the subcategories are closed under composition; a
     # pair of bijections lies in both and is composed once
     for n, m, k in product(sizes, repeat=3):
-        flags = {}
-        for flag in (is_upwards, is_downwards):
-            gs = _flagged(variant, m, k, flag)
-            for f in _flagged(variant, n, m, flag):
+        pairs = {}
+        for i, flag in enumerate((is_upwards, is_downwards)):
+            gs = _flagged(variant, m, k, flags)[i]
+            for f in _flagged(variant, n, m, flags)[i]:
                 for g in gs:
-                    flags.setdefault((f, g), []).append(flag)
-        for (f, g), held in flags.items():
+                    pairs.setdefault((f, g), []).append(flag)
+        for (f, g), held in pairs.items():
             res = compose(g, f)
             if res.closed_count != 0 or not all(flag(res.result) for flag in held):
                 crit_c_pass = False

@@ -6,6 +6,7 @@ import pytest
 from diagcat import compose, enumerate_diagrams
 from diagcat.algebra import (
     AlgebraTable,
+    _hom_size,
     build_algebra,
     composition_table,
     discriminant,
@@ -15,7 +16,8 @@ from diagcat.algebra import (
     poly_det,
 )
 from diagcat.coeff import DeltaPoly
-from diagcat.errors import DimensionBudgetExceeded, ShapeMismatch
+from diagcat.diagrams import VARIANTS
+from diagcat.errors import DimensionBudgetExceeded, ShapeMismatch, UnsupportedVariant
 from helpers import check_associativity
 
 
@@ -115,6 +117,18 @@ SMALL_OBJECTS = {
 }
 
 
+def _splits(variant, total):
+    """The pairs of objects of a variant with `total` vertices in all."""
+    if variant == "walled":
+        return [
+            ((a, b), (c, total - a - b - c))
+            for a in range(total + 1)
+            for b in range(total + 1 - a)
+            for c in range(total + 1 - a - b)
+        ]
+    return [(x, total - x) for x in range(total + 1)]
+
+
 class TestCompositionTable:
     @pytest.mark.parametrize("variant", SMALL_OBJECTS)
     def test_agrees_with_compose(self, variant):
@@ -138,6 +152,19 @@ class TestCompositionTable:
     )
     def test_algebra_reads_the_table(self, variant, n):
         assert build_algebra(variant, n).table == composition_table(variant, n, n, n)
+
+    def test_other_variants_refused_before_any_basis(self, monkeypatch):
+        # a degenerate product on a cycle is zero, and partial injections
+        # count no loops, which a d^closed * sign * composite entry cannot say
+        def enumerate_forbidden(*args):
+            raise AssertionError("enumerated before the variant check")
+
+        hom_basis.cache_clear()
+        composition_table.cache_clear()
+        monkeypatch.setattr("diagcat.algebra.enumerate_diagrams", enumerate_forbidden)
+        for variant in ("degenerate", "fisharp", "unknown"):
+            with pytest.raises(UnsupportedVariant, match=f"^the composition table supports .*; not {variant}$"):
+                composition_table(variant, 2, 2, 2)
 
 
 class TestAlgebraTables:
@@ -183,6 +210,34 @@ class TestAlgebraTables:
     def test_budget(self):
         with pytest.raises(DimensionBudgetExceeded):
             build_algebra("brauer", 5)
+
+    def test_capped_count(self):
+        # the exact count from sympy's closed forms for every variant whose
+        # hom spaces are counted, and within a budget the count is the same
+        # while past it the count is refused
+        from sympy import bell, catalan, factorial, factorial2
+
+        for variant in set(VARIANTS) - {"fisharp"}:
+            for total in range(13):
+                for x, y in _splits(variant, total):
+                    if variant == "walled":
+                        (n1, n2), (m1, m2) = x, y
+                        exact = factorial(n1 + m2) if n1 + m2 == n2 + m1 else 0
+                    elif variant in ("partition", "degenerate"):
+                        exact = bell(total)
+                    elif total % 2:
+                        exact = 0
+                    elif variant == "temperley_lieb":
+                        exact = catalan(total // 2)
+                    else:
+                        exact = factorial2(total - 1)
+                    assert _hom_size(variant, x, y) == exact, (variant, x, y)
+                    for budget in (0, 1, 42, 250, 200_000, max(exact - 1, 0), exact):
+                        if exact <= budget:
+                            assert _hom_size(variant, x, y, budget) == exact
+                        else:
+                            with pytest.raises(DimensionBudgetExceeded, match=f"budget {budget}$"):
+                                _hom_size(variant, x, y, budget)
 
     def test_budgets_checked_before_enumerating(self, monkeypatch):
         def enumerate_forbidden(*args):

@@ -252,6 +252,19 @@ class TestCommands:
         assert code == 1
         assert json.loads(err)["error"] == "dimension_budget_exceeded"
 
+    def test_oversized_hom_space_refused_at_once(self, capsys):
+        # Bell(10000) is not counted in full: the count stops past the budget
+        for argv in [
+            ["semisimple", "--category", "partition", "--n", "5000", "--delta", "1"],
+            ["verify", "--category", "partition", "--t3", "5000", "5000"],
+            ["verify", "--t3", "5000", "5000"],
+        ]:
+            start = time.perf_counter()
+            code, out, err = capture(capsys, argv + ["--json"])
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"] == "dimension_budget_exceeded"
+
     def test_semisimple_temperley_lieb_five_roots(self, capsys):
         # of the values 2cos(pi k / m), m <= 5, at which TL_5 is not
         # semisimple, only -1 and 1 are rational (0 is not: 5 is odd)

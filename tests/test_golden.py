@@ -10,8 +10,10 @@ small `verify --taut` sweeps, which read the shared composition
 tables, and the `verify --axioms` and `verify --t3` reports. The
 library's `compose` is pinned per variant by one digest over every
 composable pair of small hom spaces, `factorize` by one digest over
-every diagram of small hom spaces, and the axiom checks by one digest
-over the reports of criterion 3's range."""
+every diagram of small hom spaces, the composition tables by one digest
+over every table the taut sweeps of the benchmark and of criterion 2
+read, and the axiom checks by one digest over the reports of criterion
+3's range."""
 
 import hashlib
 import json
@@ -28,6 +30,7 @@ from diagcat import (
     make_diagram,
     verify_t3,
 )
+from diagcat.algebra import composition_table
 from diagcat.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -152,6 +155,15 @@ AXIOM_CHECKS = (
 )
 
 
+# largest object per variant, number of tables and SHA-256 of one line
+# (x, y, z, repr of the table) per hom triple
+TABLES = (
+    {"partition": 3, "brauer": 4, "signed": 3, "walled": 3, "temperley_lieb": 3},
+    1317,
+    "36d7e74e578fa722b152780e839eb63b62caf9fbb607b53e711f9f58c1061975",
+)
+
+
 def _objects(variant, size):
     # a walled object's colors add up to at most the size
     if variant == "walled":
@@ -272,3 +284,30 @@ def test_axiom_checks_pinned():
         for size in range(top + 1)
     ]
     assert _report_digest(reports) == digest
+
+
+def _tables_digest():
+    largest, _, _ = TABLES
+    h = hashlib.sha256()
+    count = 0
+    for variant, size in largest.items():
+        for x, y, z in product(_objects(variant, size), repeat=3):
+            h.update(f"{variant} {x} {y} {z} {composition_table(variant, x, y, z)!r}\n".encode())
+            count += 1
+    return count, h.hexdigest()
+
+
+def test_composition_tables_pinned():
+    assert _tables_digest() == TABLES[1:]
+
+
+def test_composition_tables_do_not_call_compose(monkeypatch):
+    def compose_forbidden(*args):
+        raise AssertionError("a table entry went through compose")
+
+    monkeypatch.setattr("diagcat.algebra.compose", compose_forbidden, raising=False)
+    composition_table.cache_clear()
+    try:
+        assert _tables_digest() == TABLES[1:]
+    finally:
+        composition_table.cache_clear()
