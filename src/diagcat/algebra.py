@@ -6,7 +6,7 @@ shared with the tautological sweeps.
 
 from functools import lru_cache
 from itertools import accumulate
-from math import inf, lcm
+from math import comb, factorial, inf, lcm
 from operator import mul
 
 from .coeff import DeltaPoly, _reduced, int_exact_div, int_mul, int_sub, rational_roots
@@ -62,6 +62,7 @@ class AlgebraTable:
 def _hom_size(variant, x, y, budget=inf):
     """|Hom(x, y)| by the counting formulas: (n1+m2)! matchings between
     the two colour classes of a walled object, Bell(n+m) set partitions,
+    the sum over k of C(n, k) C(m, k) k! partial injections,
     Catalan((n+m)/2) planar and (n+m-1)!! other perfect matchings.
 
     Each is the last of a nondecreasing sequence, so a count past the
@@ -72,6 +73,8 @@ def _hom_size(variant, x, y, budget=inf):
     elif variant in ("partition", "degenerate"):
         rows = accumulate(range(x + y), lambda row, _: list(accumulate(row, initial=row[-1])), initial=[1])
         terms = (row[0] for row in rows)
+    elif variant == "fisharp":
+        terms = accumulate(comb(x, k) * comb(y, k) * factorial(k) for k in range(min(x, y) + 1))
     elif (x + y) % 2:
         return 0
     elif variant == "temperley_lieb":

@@ -7,6 +7,12 @@ added one horizontal strip at a time, kept while the reading word is
 a lattice word), and the restriction-multiplicity formulas expressed
 as sums of LR coefficients at doubled partitions, together with the
 induced-character machinery used to cross-check them.
+
+Partitions are checked once, at the public entry points, through a memo
+of `check_partition` keyed on the parts as a tuple. Behind them the
+private kernels (`_chi`, `_lr`, `_delta`, with `_chi` and `_lr_product`
+memoized) take partitions that are already normal tuples and call one
+another without checking again.
 """
 
 from functools import lru_cache
@@ -35,12 +41,20 @@ def parse_partition(text):
 
 
 def check_partition(parts):
-    """Normalize to a weakly decreasing tuple of positive integers."""
+    """Normalize to a weakly decreasing tuple of positive integers; a
+    part that is not an integral number is refused, not truncated."""
     out = []
     rising = False
     for p in parts:
         if p != 0:
-            p = int(p)
+            try:
+                q = int(p)
+                integral = q == p
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise NotAnIntegerPartition(f"parts must be integers: {p!r}")
+            p = q
             if out and p > out[-1]:
                 rising = True
             out.append(p)
@@ -51,6 +65,20 @@ def check_partition(parts):
             raise NotAnIntegerPartition(f"negative part in {parts}")
         raise NotAnIntegerPartition(f"parts must be weakly decreasing: {parts}")
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _normal(parts):
+    return check_partition(parts)
+
+
+def _partition(parts):
+    """check_partition through a memo keyed on the parts as a tuple; a
+    refusal raises, so it is never memoized."""
+    try:
+        return _normal(tuple(parts))
+    except TypeError:  # an unhashable part
+        return check_partition(parts)
 
 
 def partitions_of(n):
@@ -68,6 +96,11 @@ def partitions_of(n):
     return list(gen(n, n))
 
 
+@lru_cache(maxsize=None)
+def _partitions(n):
+    return tuple(partitions_of(n))
+
+
 def doubled(nu):
     return tuple(2 * p for p in nu)
 
@@ -82,7 +115,7 @@ def conjugate_partition(lam):
 
 def dim_specht(lam):
     """Number of standard Young tableaux, by the hook length formula."""
-    lam = check_partition(lam)
+    lam = _partition(lam)
     n = sum(lam)
     conj = conjugate_partition(lam)
     denom = 1
@@ -117,43 +150,46 @@ def standard_tableaux(lam):
     return list(place(1))
 
 
-def _beta_set(lam, rows):
-    return tuple(lam[i] + (rows - 1 - i) if i < len(lam) else (rows - 1 - i)
-                 for i in range(rows))
-
-
-def _partition_from_beta(beta):
-    beta = sorted(beta, reverse=True)
-    rows = len(beta)
-    lam = [beta[i] - (rows - 1 - i) for i in range(rows)]
-    return tuple(p for p in lam if p > 0)
+def sym_character(lam, mu):
+    """Character of the irreducible labelled lam at cycle type mu."""
+    lam, mu = _partition(lam), _partition(mu)
+    if sum(lam) != sum(mu):
+        raise SizeMismatch(f"|{lam}| != |{mu}|")
+    return _chi(lam, mu)
 
 
 @lru_cache(maxsize=None)
-def sym_character(lam, mu):
-    """Character of the irreducible labelled lam at cycle type mu.
+def _chi(lam, mu):
+    """sym_character on normal partitions of one size.
 
-    Murnaghan-Nakayama recursion in beta-set form: removing a border
-    strip of length r moves one beta number down by r; the sign counts
-    the beta numbers jumped over.
+    Murnaghan-Nakayama recursion on the decreasing beta list
+    lam[i] + rows - 1 - i: removing a border strip of length r = mu[0]
+    moves one beta number b down to a free place b - r. The beta numbers
+    it jumps over, beta[i + 1:j], give the sign; each of their rows moves
+    up one place and loses one box.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise SizeMismatch(f"|{lam}| != |{mu}|")
     if not mu:
         return 1
     r, rest = mu[0], mu[1:]
-    rows = max(len(lam), 1)
-    beta = set(_beta_set(lam, rows))
+    rows = len(lam)
+    beta = [p + rows - 1 - i for i, p in enumerate(lam)]
     total = 0
-    for b in sorted(beta):
-        if b - r < 0 or (b - r) in beta:
+    for i, b in enumerate(beta):
+        low = b - r
+        if low < 0:
+            break
+        j = i + 1
+        while j < rows and beta[j] > low:
+            j += 1
+        if j < rows and beta[j] == low:
             continue
-        height = sum(1 for x in beta if b - r < x < b)
-        new_beta = (beta - {b}) | {b - r}
-        new_lam = _partition_from_beta(tuple(new_beta))
-        total += (-1) ** height * sym_character(new_lam, rest)
+        moved = [p - 1 for p in lam[i + 1:j]]
+        moved.append(low - rows + j)
+        if j == rows:  # rows emptied by the strip are dropped
+            while moved and not moved[-1]:
+                moved.pop()
+        value = _chi(lam[:i] + tuple(moved) + lam[j:], rest)
+        total += value if (j - i) % 2 else -value
     return total
 
 
@@ -195,8 +231,13 @@ def lr_coefficient(lam, mu, target):
     is expanded once per normalized pair and memoized; c(lam, mu) equals
     c(mu, lam), so the pair is taken in one order.
     """
-    lam, mu = sorted((check_partition(lam), check_partition(mu)))
-    return _lr_product(lam, mu).get(check_partition(target), 0)
+    return _lr(_partition(lam), _partition(mu), _partition(target))
+
+
+def _lr(lam, mu, target):
+    """lr_coefficient on normal partitions."""
+    product = _lr_product(lam, mu) if lam <= mu else _lr_product(mu, lam)
+    return product.get(target, 0)
 
 
 @lru_cache(maxsize=None)
@@ -241,14 +282,15 @@ def _strips(shape, left, prev, budget, r=0):
 def delta_multiplicity(lam, mu):
     """Weight-mu multiplicity of the standard object at lowest weight lam:
     the sum of LR coefficients of mu at lam with doubled partitions."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
+    return _delta(_partition(lam), _partition(mu))
+
+
+def _delta(lam, mu):
+    """delta_multiplicity on normal partitions."""
     diff = sum(mu) - sum(lam)
     if diff < 0 or diff % 2 != 0:
         return 0
-    return sum(
-        lr_coefficient(lam, doubled(nu), mu) for nu in partitions_of(diff // 2)
-    )
+    return sum(_lr(lam, doubled(nu), mu) for nu in _partitions(diff // 2))
 
 
 def ptilde_standard_multiplicity(lam, mu):
@@ -297,22 +339,21 @@ def induced_multiplicity_oracle(lam, mu):
     Computed by the Frobenius character inner product; this is the
     independent route against which the LR-sum formula is tested.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
+    lam, mu = _partition(lam), _partition(mu)
     n, m = sum(lam), sum(mu)
     k = m - n
     if k < 0 or k % 2 != 0:
         return 0
     total = 0
     h_order = 2**(k // 2) * factorial(k // 2)
-    for rho in partitions_of(n):
-        chi_lam = sym_character(lam, rho)
+    for rho in _partitions(n):
+        chi_lam = _chi(lam, rho)
         if chi_lam == 0:
             continue
         inner = 0
         for h_type, count in _hyperoctahedral_type_counts(k):
             combined = tuple(sorted(rho + h_type, reverse=True))
-            inner += count * sym_character(mu, combined)
+            inner += count * _chi(mu, combined)
         total += class_size(rho) * chi_lam * inner
     return _exact_quotient(total, factorial(n) * h_order)
 
@@ -320,12 +361,15 @@ def induced_multiplicity_oracle(lam, mu):
 def principal_permutation_multiplicity(n, m, mu):
     """Multiplicity of the mu-irreducible in the permutation action of
     the top symmetric group on the matching diagrams from [n] to [m]."""
-    mu = check_partition(mu)
+    mu = _partition(mu)
     if (n + m) % 2 != 0:
         return 0
+    rhos = _partitions(m)
+    if sum(mu) != m:
+        raise SizeMismatch(f"|{mu}| != {m}")
     total = 0
-    for rho in partitions_of(m):
-        chi = sym_character(mu, rho)
+    for rho in rhos:
+        chi = _chi(mu, rho)
         if chi != 0:
             total += class_size(rho) * chi * _fixed_matchings(n, m, rho)
     return _exact_quotient(total, factorial(m))
@@ -348,14 +392,20 @@ def _fixed_matchings(n, m, rho):
     cycle type rho acting on the top row."""
     sigma = _permutation_of_type(rho)
     fixed = 0
-    for d in enumerate_diagrams("brauer", n, m):
-        labels = d.labels()
+    for labels in _matching_labels(n, m):
         # top vertex j moves to sigma[j - 1], taking its label along
         moved = list(labels)
         for j, label in enumerate(labels[n:]):
             moved[n + sigma[j] - 1] = label
         fixed += renumbered(moved) == labels
     return fixed
+
+
+@lru_cache(maxsize=None)
+def _matching_labels(n, m):
+    """The labels of every matching diagram [n] -> [m], enumerated once
+    for all the cycle types that _fixed_matchings counts on them."""
+    return tuple(d.labels() for d in enumerate_diagrams("brauer", n, m))
 
 
 def _permutation_of_type(rho):
@@ -376,16 +426,15 @@ def verify_principal_decomposition(n, m):
         raise SizeMismatch("hom space is zero for odd total size")
     details = {}
     ok = True
-    for mu in partitions_of(m):
+    for mu in _partitions(m):
         lhs = principal_permutation_multiplicity(n, m, mu)
         rhs = 0
-        for lam in partitions_of(n):
+        for lam in _partitions(n):
             acc = 0
             for j in range(n, -1, -2):
-                for nu in partitions_of(j):
-                    acc += ptilde_standard_multiplicity(
-                        lam, nu
-                    ) * delta_multiplicity(nu, mu)
+                for nu in _partitions(j):
+                    # the weight-lam multiplicity of the standard object at nu
+                    acc += _delta(nu, lam) * _delta(nu, mu)
             rhs += dim_specht(lam) * acc
         details[partition_key(mu)] = {"lhs": lhs, "rhs": rhs}
         if lhs != rhs:

@@ -642,10 +642,15 @@ def enumerate_diagrams(variant, bottom, top):
     else:
         found = [tuple(edges) for edges in _matchings(points)]
     # the values share their rows, so they sort as their parts do; each
-    # keeps the parts it was built from
+    # keeps the parts it was built from, whose labels need no checking:
+    # vertex (row, i) sits at i - 1 + n * row, as BOTTOM is 0 and TOP 1
     out = []
     for parts in sorted(found):
-        out.append(cls._trusted(bottom, top, tuple(_labels_of(n, m, parts))))
+        labels = [0] * (n + m)
+        for label, part in enumerate(parts):
+            for row, i in part:
+                labels[i - 1 + n * row] = label
+        out.append(cls._trusted(bottom, top, tuple(labels)))
         _keep_parts(out[-1], parts)
     return out
 

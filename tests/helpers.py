@@ -1,6 +1,7 @@
 """Independent brute-force oracles used only by the test suite."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 from diagcat import taut
@@ -203,6 +204,30 @@ def _is_lattice_filling(fill, nvals):
             if v > 1 and counts[v] > counts[v - 1]:
                 return False
     return True
+
+
+@lru_cache(maxsize=None)
+def character_by_beta_sets(lam, mu):
+    """Murnaghan-Nakayama recursion on beta *sets*, the form diagcat used
+    before its list kernel; lam and mu are normal partitions of one size.
+
+    Removing a border strip of length r moves one beta number b to the
+    free place b - r; the sign counts the beta numbers strictly between.
+    """
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    rows = max(len(lam), 1)
+    beta = {lam[i] + rows - 1 - i if i < len(lam) else rows - 1 - i for i in range(rows)}
+    total = 0
+    for b in sorted(beta):
+        if b - r < 0 or (b - r) in beta:
+            continue
+        height = sum(1 for x in beta if b - r < x < b)
+        new_beta = sorted((beta - {b}) | {b - r}, reverse=True)
+        child = tuple(p for p in (x - (rows - 1 - i) for i, x in enumerate(new_beta)) if p > 0)
+        total += (-1) ** height * character_by_beta_sets(child, rest)
+    return total
 
 
 def lr_by_characters(lam, mu, target):

@@ -239,6 +239,17 @@ class TestAlgebraTables:
                             with pytest.raises(DimensionBudgetExceeded, match=f"budget {budget}$"):
                                 _hom_size(variant, x, y, budget)
 
+    def test_partial_injection_count(self):
+        # the sum over k of C(x, k) C(y, k) k!, not a count of perfect matchings
+        for x in range(5):
+            for y in range(5):
+                assert _hom_size("fisharp", x, y) == len(enumerate_diagrams("fisharp", x, y)), (x, y)
+        assert (_hom_size("fisharp", 2, 1), _hom_size("fisharp", 3, 2)) == (3, 13)
+        # 1 + 16 + 72 = 89 within 4 -> 4 already exceeds 50 of its 209
+        with pytest.raises(DimensionBudgetExceeded, match="budget 50$"):
+            _hom_size("fisharp", 4, 4, 50)
+        assert _hom_size("fisharp", 4, 4, 209) == 209
+
     def test_budgets_checked_before_enumerating(self, monkeypatch):
         def enumerate_forbidden(*args):
             raise AssertionError("enumerated before the budget check")

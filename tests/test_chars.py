@@ -1,3 +1,6 @@
+import inspect
+from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -5,6 +8,7 @@ import pytest
 from diagcat import chars
 from diagcat.chars import (
     _exact_quotient,
+    _fixed_matchings,
     _lr_product,
     check_partition,
     class_size,
@@ -21,9 +25,15 @@ from diagcat.chars import (
     sym_character,
     verify_principal_decomposition,
 )
-from diagcat.errors import SizeMismatch
+from diagcat.diagrams import TOP, enumerate_diagrams
+from diagcat.errors import NotAnIntegerPartition, SizeMismatch
 
-from helpers import lr_by_characters, lr_by_tableaux, specht_character_oracle
+from helpers import (
+    character_by_beta_sets,
+    lr_by_characters,
+    lr_by_tableaux,
+    specht_character_oracle,
+)
 
 
 def lr_triples(top):
@@ -60,6 +70,36 @@ class TestPartitions:
         ):
             check_partition([1, 0, 2])
 
+    @pytest.mark.parametrize(
+        "parts", [[2.5, 1], [Fraction(3, 2)], ["2", "1"], [2, None], [float("nan")], [float("inf")]]
+    )
+    def test_non_integer_parts_refused(self, parts):
+        # int() alone would read [2.5, 1] and ['2', '1'] as (2, 1)
+        with pytest.raises(NotAnIntegerPartition, match="^parts must be integers: "):
+            check_partition(parts)
+        # warm the boundary memo with the partition the parts truncate to
+        near = (2, 1) if len(parts) == 2 else (1,)
+        sym_character(near, near)
+        lr_coefficient(near, (), near)
+        for call in (
+            lambda: sym_character(parts, near),
+            lambda: sym_character(near, parts),
+            lambda: lr_coefficient(parts, (), near),
+            lambda: lr_coefficient(near, parts, near),
+            lambda: lr_coefficient(near, (), parts),
+            lambda: delta_multiplicity(parts, near),
+            lambda: delta_multiplicity((), parts),
+        ):
+            with pytest.raises(NotAnIntegerPartition):
+                call()
+
+    def test_integral_numbers_accepted(self):
+        # a part is refused by its value, not its type, so the boundary
+        # memo, which finds (2.0, 1) under (2, 1), agrees with the check
+        assert check_partition([2.0, Fraction(1)]) == (2, 1)
+        assert type(check_partition([2.0])[0]) is int
+        assert sym_character((2.0, 1), [Fraction(3)]) == sym_character((2, 1), (3,)) == -1
+
 
 class TestDimSpecht:
     def test_trivial_and_sign(self):
@@ -93,9 +133,9 @@ class TestCharacters:
                 assert sym_character((1,) * n, mu) == expected
 
     def test_identity_class_gives_dimension(self):
-        for n in range(7):
+        for n in range(13):
             for lam in partitions_of(n):
-                assert sym_character(lam, (1,) * n) == dim_specht(lam)
+                assert sym_character(lam, (1,) * n) == dim_specht(lam), lam
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
@@ -115,18 +155,23 @@ class TestCharacters:
                     ), (lam, mu)
 
     def test_orthogonality(self):
-        for n in range(1, 7):
+        # rows and columns of the whole table, well past the Specht oracle
+        for n in range(11):
             parts = partitions_of(n)
-            for lam in parts:
-                for mu in parts:
-                    total = sum(
-                        class_size(rho)
-                        * sym_character(lam, rho)
-                        * sym_character(mu, rho)
-                        for rho in parts
-                    )
-                    expected = factorial(n) if lam == mu else 0
-                    assert total == expected, (lam, mu)
+            table = [[sym_character(lam, rho) for rho in parts] for lam in parts]
+            sizes = [class_size(rho) for rho in parts]
+            for a, row in enumerate(table):
+                for b, other in enumerate(table):
+                    total = sum(z * x * y for z, x, y in zip(sizes, row, other))
+                    assert total == (factorial(n) if a == b else 0), (parts[a], parts[b])
+                    total = sum(line[a] * line[b] for line in table)
+                    assert total == (factorial(n) // sizes[a] if a == b else 0), (parts[a], parts[b])
+
+    def test_against_beta_set_recursion(self):
+        for n in range(10):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    assert sym_character(lam, mu) == character_by_beta_sets(lam, mu), (lam, mu)
 
     def test_cycle_type(self):
         assert cycle_type((2, 1, 3)) == (2, 1)
@@ -328,3 +373,67 @@ class TestPrincipalDecomposition:
     def test_odd_raises(self):
         with pytest.raises(SizeMismatch):
             verify_principal_decomposition(1, 2)
+
+    def test_weight_of_the_wrong_size_raises(self):
+        with pytest.raises(SizeMismatch):
+            chars.principal_permutation_multiplicity(1, 3, (2, 1, 1))
+
+    def test_fixed_counts_give_the_orbit_count(self):
+        # Burnside: the mean number of fixed diagrams over the top
+        # symmetric group is the number of its orbits on the hom space
+        for total in range(7):
+            for n in range(total + 1):
+                m = total - n
+                orbits = set()
+                for d in enumerate_diagrams("brauer", n, m):
+                    images = set()
+                    for sigma in permutations(range(1, m + 1)):
+                        moved = [
+                            frozenset((row, sigma[i - 1] if row == TOP else i) for row, i in edge)
+                            for edge in d.edges
+                        ]
+                        images.add(frozenset(moved))
+                    orbits.add(frozenset(images))
+                burnside = sum(
+                    class_size(rho) * _fixed_matchings(n, m, rho) for rho in partitions_of(m)
+                )
+                assert burnside == len(orbits) * factorial(m), (n, m)
+
+
+# the public entry points that take partitions, with sample arguments;
+# every one must give the same value for lists as for tuples
+PARTITION_ARGUMENTS = {
+    "partition_key": ((3, 1),),
+    "check_partition": ((3, 1, 0),),
+    "doubled": ((2, 1),),
+    "conjugate_partition": ((3, 1),),
+    "dim_specht": ((3, 2, 1),),
+    "standard_tableaux": ((2, 2),),
+    "sym_character": ((3, 2, 1), (2, 2, 1, 1)),
+    "centralizer_order": ((2, 2, 1),),
+    "class_size": ((2, 2, 1),),
+    "lr_coefficient": ((2, 1), (2, 1), (3, 2, 1)),
+    "delta_multiplicity": ((1,), (3, 1, 1)),
+    "ptilde_standard_multiplicity": ((3, 1, 1), (1,)),
+    "induced_multiplicity_oracle": ((1,), (3, 1, 1)),
+    "principal_permutation_multiplicity": (2, 4, (2, 2)),
+}
+PARTITION_PARAMETERS = {"lam", "mu", "nu", "rho", "parts", "target"}
+
+
+def test_public_entry_points_accept_lists():
+    public = {
+        name: fn
+        for name, fn in vars(chars).items()
+        if inspect.isfunction(fn) and fn.__module__ == chars.__name__ and not name.startswith("_")
+    }
+    taking = {
+        name for name, fn in public.items()
+        if PARTITION_PARAMETERS & set(inspect.signature(fn).parameters)
+    }
+    assert taking == set(PARTITION_ARGUMENTS)
+    for name, args in PARTITION_ARGUMENTS.items():
+        as_lists = [list(a) if isinstance(a, tuple) else a for a in args]
+        assert public[name](*as_lists) == public[name](*args), name
+        # and again after the tuples have filled any memo
+        assert public[name](*as_lists) == public[name](*args), name
