@@ -11,7 +11,7 @@ from operator import mul
 
 from .coeff import DeltaPoly, _reduced, int_exact_div, int_mul, int_sub, rational_roots
 from .compose import _glue, _glued, epsilon_sign
-from .diagrams import check_nonnegative, enumerate_diagrams
+from .diagrams import check_nonnegative, enumerate_diagrams, renumbered
 from .errors import DimensionBudgetExceeded, UnsupportedVariant
 
 BASIS_BUDGET = 250
@@ -103,25 +103,80 @@ def hom_basis(variant, x, y):
 
 
 @lru_cache(maxsize=None)
+def _basis_index(variant, x, y):
+    """labels -> (k, epsilon sign) of hom_basis(variant, x, y)[k]."""
+    eps = epsilon_sign if variant == "signed" else lambda d: 1
+    return {d._labels: (k, eps(d)) for k, d in enumerate(hom_basis(variant, x, y))}
+
+
+@lru_cache(maxsize=None)
+def _transpose_map(variant, x, y):
+    """t with hom_basis(variant, y, x)[t[k]] the transpose of
+    hom_basis(variant, x, y)[k]. Found by labels, those of the two rows
+    exchanged and renumbered as `transpose` builds them; for x > y it is
+    the inverse of the map of Hom(y, x)."""
+    if x > y:
+        inverse = _transpose_map(variant, y, x)
+        return tuple(sorted(range(len(inverse)), key=inverse.__getitem__))
+    index = _basis_index(variant, y, x)
+    n = sum(x) if variant == "walled" else x
+    return tuple([index[renumbered(d._labels[n:] + d._labels[:n])][0] for d in hom_basis(variant, x, y)])
+
+
+@lru_cache(maxsize=None)
 def composition_table(variant, x, y, z):
     """table[i][j] = (closed, sign, k): hom_basis(y, z)[i] after
     hom_basis(x, y)[j] is d^closed * sign * hom_basis(x, z)[k].
 
     Built on labels: each row is one pass of `compose`'s union-find over
     the alphas, and labels identify a composite within its hom space.
+    Transposing keeps loops and reverses composition, (beta o alpha)^T
+    = alpha^T o beta^T, so of each pair and its transpose only one is
+    glued. With tA, tB and tC the transpose maps of Hom(x, y), Hom(y, z)
+    and Hom(z, x):
+    - x < z: every pair is glued;
+    - x > z: entry [i][j] is entry [tA[j]][tB[i]] of the table of
+      (z, y, x), with its k sent through tC;
+    - x == z: the pair (i, j) and its mirror (tA[j], tB[i]) lie in this
+      table. Row i glues the alphas j with tA[j] >= i, taken in the order
+      of tA[j], and writes each entry's mirror too: about half the pairs.
+    The signed tables glue every pair: transpose is not defined on
+    oriented values, and their tables are tiny.
     Equal entries are one shared tuple, so a table costs about one
     pointer per pair. The algebra on [n] and every tautological sweep
     through the triple read the same table. Signs are as in `compose`.
     """
     if variant not in _TABLE_VARIANTS:
         raise UnsupportedVariant.of("the composition table", variant, _TABLE_VARIANTS)
-    eps, loop_sign = (epsilon_sign, -1) if variant == "signed" else (lambda d: 1, 1)
-    alphas = hom_basis(variant, x, y)
-    glued, alpha_eps = [_glued(a) for a in alphas], [eps(a) for a in alphas]
-    index = {d._labels: (k, eps(d)) for k, d in enumerate(hom_basis(variant, x, z))}
+    mirrored = variant != "signed"
+    if mirrored and x > z:
+        tA, tB = _transpose_map(variant, x, y), _transpose_map(variant, y, z)
+        tC = _transpose_map(variant, z, x)
+        transposed = composition_table(variant, z, y, x)
+        mirror = {e: (e[0], e[1], tC[e[2]]) for e in set().union(*transposed)}
+        return tuple(tuple([mirror[transposed[t][s]] for t in tA]) for s in tB)
+    alphas, betas = hom_basis(variant, x, y), hom_basis(variant, y, z)
+    glued = [_glued(a) for a in alphas]
+    index = _basis_index(variant, x, z)
     entries = {}
+    if mirrored and x == z:
+        # tB inverts the transpose map of the alphas, so it lists them by
+        # the index of their transpose
+        tB, tC = _transpose_map(variant, y, x), _transpose_map(variant, x, x)
+        by_transpose = [glued[j] for j in tB]
+        rows = [[None] * len(alphas) for _ in betas]
+        for i, beta in enumerate(betas):
+            row, ti = rows[i], tB[i]
+            for t, (closed, labels, _) in enumerate(_glue(beta._labels, beta.n, by_transpose[i:]), i):
+                k = index[labels][0]
+                entry, mirror = (closed, 1, k), (closed, 1, tC[k])
+                row[tB[t]] = entries.setdefault(entry, entry)
+                rows[t][ti] = entries.setdefault(mirror, mirror)
+        return tuple(map(tuple, rows))
+    eps, loop_sign = (epsilon_sign, -1) if variant == "signed" else (lambda d: 1, 1)
+    alpha_eps = [eps(a) for a in alphas]
     table = []
-    for beta in hom_basis(variant, y, z):
+    for beta in betas:
         beta_eps = eps(beta)
         row = []
         for e, (closed, labels, _) in zip(alpha_eps, _glue(beta._labels, beta.n, glued)):

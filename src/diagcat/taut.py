@@ -274,7 +274,8 @@ def verify_taut_functoriality(ctx, max_size):
     composed diagram, with exact equality. The hom bases and
     compositions come from the cached tables of `diagcat.algebra`, built
     on labels, so sweeps at other dimensions or q, and the algebras on
-    [n], compose each pair once; the products are computed on every sweep.
+    [n], compose each pair or its transpose once; the products are
+    computed on every sweep.
 
     The products are computed on packed integers (Kronecker
     substitution). Every matrix is scaled by D, the lcm of the entry

@@ -1,12 +1,15 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from diagcat import compose, enumerate_diagrams
+from diagcat import compose, enumerate_diagrams, transpose
 from diagcat.algebra import (
     AlgebraTable,
+    _basis_index,
     _hom_size,
+    _transpose_map,
     build_algebra,
     composition_table,
     discriminant,
@@ -16,9 +19,11 @@ from diagcat.algebra import (
     poly_det,
 )
 from diagcat.coeff import DeltaPoly
+from diagcat.compose import _glue
 from diagcat.diagrams import VARIANTS
 from diagcat.errors import DimensionBudgetExceeded, ShapeMismatch, UnsupportedVariant
 from helpers import check_associativity
+from test_golden import TABLES, _objects
 
 
 def radical_dimension_oracle(variant, n, delta):
@@ -165,6 +170,79 @@ class TestCompositionTable:
         for variant in ("degenerate", "fisharp", "unknown"):
             with pytest.raises(UnsupportedVariant, match=f"^the composition table supports .*; not {variant}$"):
                 composition_table(variant, 2, 2, 2)
+
+    def test_transpose_maps(self):
+        for variant, size in TABLES[0].items():
+            if variant == "signed":
+                continue
+            for x, y in product(_objects(variant, size), repeat=2):
+                there, back = _transpose_map(variant, x, y), _transpose_map(variant, y, x)
+                mirrors = hom_basis(variant, y, x)
+                assert [mirrors[t] for t in there] == [transpose(d) for d in hom_basis(variant, x, y)]
+                assert [back[t] for t in there] == list(range(len(there)))
+
+    def test_cold_mirrored_requests(self):
+        # in reverse order each x > z and x == z table is requested before
+        # any table it could read
+        triples = [
+            (variant, *triple)
+            for variant, size in TABLES[0].items()
+            for triple in product(_objects(variant, size), repeat=3)
+        ]
+        builds = []
+        for order in (triples[::-1], triples):
+            hom_basis.cache_clear()
+            _basis_index.cache_clear()
+            _transpose_map.cache_clear()
+            composition_table.cache_clear()
+            builds.append({t: composition_table(*t) for t in order})
+        reverse, forward = builds
+        assert reverse == forward
+
+    @pytest.mark.parametrize(
+        "variant,x,y,z",
+        [
+            ("partition", 3, 2, 1),
+            ("partition", 2, 3, 2),
+            ("brauer", 4, 2, 2),
+            ("brauer", 2, 4, 2),
+            ("walled", (2, 1), (2, 1), (1, 0)),
+            ("walled", (1, 1), (2, 2), (1, 1)),
+            ("walled", (2, 1), (2, 1), (2, 1)),
+            ("temperley_lieb", 4, 4, 2),
+            ("temperley_lieb", 3, 3, 3),
+        ],
+    )
+    def test_mirrored_tables_agree_with_compose(self, variant, x, y, z):
+        alphas, betas, composites = (hom_basis(variant, *hom) for hom in ((x, y), (y, z), (x, z)))
+        table = composition_table(variant, x, y, z)
+        assert len(alphas) * len(betas) > 1
+        assert [len(row) for row in table] == [len(alphas)] * len(betas)
+        for beta, row in zip(betas, table):
+            for alpha, (closed, sign, k) in zip(alphas, row):
+                res = compose(beta, alpha)
+                assert (closed, sign, composites[k]) == (res.closed_count, res.sign, res.result)
+
+    def test_half_the_pairs_are_glued(self, monkeypatch):
+        # a table that falls back to gluing every pair fails here
+        glued, pairs = Counter(), Counter()
+
+        def counting_glue(b_labels, mid, alphas):
+            glued[variant] += len(alphas)
+            return _glue(b_labels, mid, alphas)
+
+        monkeypatch.setattr("diagcat.algebra._glue", counting_glue)
+        composition_table.cache_clear()
+        try:
+            for variant, size in TABLES[0].items():
+                for x, y, z in product(_objects(variant, size), repeat=3):
+                    pairs[variant] += len(hom_basis(variant, x, y)) * len(hom_basis(variant, y, z))
+                    composition_table(variant, x, y, z)
+        finally:
+            composition_table.cache_clear()
+        assert glued["signed"] == pairs["signed"]
+        for variant, share in [("brauer", 0.52), ("partition", 0.52), ("walled", 0.65), ("temperley_lieb", 0.65)]:
+            assert glued[variant] <= share * pairs[variant], (variant, glued[variant] / pairs[variant])
 
 
 class TestAlgebraTables:
