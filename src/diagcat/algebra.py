@@ -10,7 +10,7 @@ from math import comb, factorial, inf, lcm
 from operator import mul
 
 from .coeff import DeltaPoly, _reduced, int_exact_div, int_mul, int_sub, rational_roots
-from .compose import _glue, _glued, epsilon_sign
+from .compose import _glued, _merge, epsilon_sign
 from .diagrams import check_nonnegative, enumerate_diagrams, renumbered
 from .errors import DimensionBudgetExceeded, UnsupportedVariant
 
@@ -92,7 +92,7 @@ def _dimension(variant, n):
     enumerated; past BASIS_BUDGET it is refused."""
     if variant not in _ALGEBRA_VARIANTS:
         raise UnsupportedVariant.of("the diagram algebra", variant, _ALGEBRA_VARIANTS)
-    check_nonnegative("row size", n)
+    [n] = check_nonnegative("row size", n)
     return _hom_size(variant, n, n, BASIS_BUDGET)
 
 
@@ -104,9 +104,15 @@ def hom_basis(variant, x, y):
 
 @lru_cache(maxsize=None)
 def _basis_index(variant, x, y):
-    """labels -> (k, epsilon sign) of hom_basis(variant, x, y)[k]."""
+    """index[bottom][top] = (k, epsilon sign) of hom_basis(variant, x,
+    y)[k], whose labels are bottom + top: the labels of its bottom row,
+    then those of its top row."""
     eps = epsilon_sign if variant == "signed" else lambda d: 1
-    return {d._labels: (k, eps(d)) for k, d in enumerate(hom_basis(variant, x, y))}
+    index = {}
+    for k, d in enumerate(hom_basis(variant, x, y)):
+        labels, n = d._labels, d.n
+        index.setdefault(labels[:n], {})[labels[n:]] = (k, eps(d))
+    return index
 
 
 @lru_cache(maxsize=None)
@@ -119,8 +125,13 @@ def _transpose_map(variant, x, y):
         inverse = _transpose_map(variant, y, x)
         return tuple(sorted(range(len(inverse)), key=inverse.__getitem__))
     index = _basis_index(variant, y, x)
-    n = sum(x) if variant == "walled" else x
-    return tuple([index[renumbered(d._labels[n:] + d._labels[:n])][0] for d in hom_basis(variant, x, y)])
+    out = []
+    for d in hom_basis(variant, x, y):
+        n, labels = d.n, d._labels
+        m = len(labels) - n
+        mirror = renumbered(labels[n:] + labels[:n])
+        out.append(index[mirror[:m]][mirror[m:]][0])
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -128,19 +139,33 @@ def composition_table(variant, x, y, z):
     """table[i][j] = (closed, sign, k): hom_basis(y, z)[i] after
     hom_basis(x, y)[j] is d^closed * sign * hom_basis(x, z)[k].
 
-    Built on labels: each row is one pass of `compose`'s union-find over
-    the alphas, and labels identify a composite within its hom space.
+    Built on labels, each composite read as a bottom half plus a top
+    half. The middle labels of a beta, those of its bottom row, are a
+    restricted-growth string of their own, so the betas that share them
+    share every merge through the middle row and differ only in their
+    top rows. The betas are grouped by their middle labels, and per
+    group and alpha `compose`'s union-find (`_merge`) runs once. It
+    gives the bottom half, the composite's labels on alpha's bottom row;
+    the inner components, merged parts with no bottom vertex; and the
+    alpha's class: for each middle part, the label of its component on
+    the bottom row or the number of its inner component, with the count
+    of bottom labels. Per class and beta of the group, the top half is
+    the composite's labels on beta's top row, with the number of inner
+    components it reaches. A pair then costs one lookup in the two-level
+    index, and closed = inner - reached.
+
     Transposing keeps loops and reverses composition, (beta o alpha)^T
     = alpha^T o beta^T, so of each pair and its transpose only one is
-    glued. With tA, tB and tC the transpose maps of Hom(x, y), Hom(y, z)
-    and Hom(z, x):
-    - x < z: every pair is glued;
+    computed. With tA, tB and tC the transpose maps of Hom(x, y),
+    Hom(y, z) and Hom(z, x):
+    - x < z: every pair is computed;
     - x > z: entry [i][j] is entry [tA[j]][tB[i]] of the table of
       (z, y, x), with its k sent through tC;
     - x == z: the pair (i, j) and its mirror (tA[j], tB[i]) lie in this
-      table. Row i glues the alphas j with tA[j] >= i, taken in the order
-      of tA[j], and writes each entry's mirror too: about half the pairs.
-    The signed tables glue every pair: transpose is not defined on
+      table. Row i computes the alphas j with tA[j] >= i, taken in the
+      order of tA[j], and writes each entry's mirror too: about half the
+      pairs. A group merges the alphas that its first beta needs.
+    The signed tables compute every pair: transpose is not defined on
     oriented values, and their tables are tiny.
     Equal entries are one shared tuple, so a table costs about one
     pointer per pair. The algebra on [n] and every tautological sweep
@@ -148,43 +173,95 @@ def composition_table(variant, x, y, z):
     """
     if variant not in _TABLE_VARIANTS:
         raise UnsupportedVariant.of("the composition table", variant, _TABLE_VARIANTS)
-    mirrored = variant != "signed"
-    if mirrored and x > z:
+    alphas, betas = hom_basis(variant, x, y), hom_basis(variant, y, z)
+    if not alphas or not betas:
+        return ((),) * len(betas)
+    signed = variant == "signed"
+    if not signed and x > z:
         tA, tB = _transpose_map(variant, x, y), _transpose_map(variant, y, z)
         tC = _transpose_map(variant, z, x)
         transposed = composition_table(variant, z, y, x)
         mirror = {e: (e[0], e[1], tC[e[2]]) for e in set().union(*transposed)}
         return tuple(tuple([mirror[transposed[t][s]] for t in tA]) for s in tB)
-    alphas, betas = hom_basis(variant, x, y), hom_basis(variant, y, z)
-    glued = [_glued(a) for a in alphas]
     index = _basis_index(variant, x, z)
-    entries = {}
-    if mirrored and x == z:
+    mirrored = not signed and x == z
+    if mirrored:
         # tB inverts the transpose map of the alphas, so it lists them by
         # the index of their transpose
         tB, tC = _transpose_map(variant, y, x), _transpose_map(variant, x, x)
-        by_transpose = [glued[j] for j in tB]
-        rows = [[None] * len(alphas) for _ in betas]
-        for i, beta in enumerate(betas):
-            row, ti = rows[i], tB[i]
-            for t, (closed, labels, _) in enumerate(_glue(beta._labels, beta.n, by_transpose[i:]), i):
-                k = index[labels][0]
-                entry, mirror = (closed, 1, k), (closed, 1, tC[k])
-                row[tB[t]] = entries.setdefault(entry, entry)
-                rows[t][ti] = entries.setdefault(mirror, mirror)
-        return tuple(map(tuple, rows))
-    eps, loop_sign = (epsilon_sign, -1) if variant == "signed" else (lambda d: 1, 1)
-    alpha_eps = [eps(a) for a in alphas]
-    table = []
-    for beta in betas:
-        beta_eps = eps(beta)
-        row = []
-        for e, (closed, labels, _) in zip(alpha_eps, _glue(beta._labels, beta.n, glued)):
-            k, target_eps = index[labels]
-            entry = (closed, e * beta_eps * target_eps * loop_sign**closed, k)
-            row.append(entries.setdefault(entry, entry))
-        table.append(tuple(row))
-    return tuple(table)
+        glued = [_glued(alphas[j]) for j in tB]
+    else:
+        glued = [_glued(a) for a in alphas]
+        if signed:
+            alpha_eps = [epsilon_sign(a) for a in alphas]
+    mid = betas[0].n
+    groups = {}
+    for i, beta in enumerate(betas):
+        groups.setdefault(beta._labels[:mid], []).append(i)
+    rows = [[None] * len(alphas) for _ in betas]
+    entries = {}
+    for b_mid, members in groups.items():
+        nm = max(b_mid) + 1 if b_mid else 0
+        start = members[0] if mirrored else 0
+        # per alpha: (the sub-index of its bottom half, its class, its
+        # inner components); the roots met on the bottom row are numbered
+        # by first appearance, 0..nbot-1, and the inner ones go on from nbot
+        classes = {}
+        halves = []
+        for na, a_bottom, a_mid in glued[start:]:
+            parent, _ = _merge(na, a_mid, b_mid, na + nm)
+            number = {}
+            bottom = []
+            for v in a_bottom:
+                while parent[v] != v:
+                    v = parent[v]
+                bottom.append(number.setdefault(v, len(number)))
+            nbot = len(number)
+            reach = []
+            for v in range(na, na + nm):
+                while parent[v] != v:
+                    v = parent[v]
+                reach.append(number.setdefault(v, len(number)))
+            reach.append(nbot)
+            c = classes.setdefault(tuple(reach), len(classes))
+            halves.append((index[tuple(bottom)], c, len(number) - nbot))
+        for i in members:
+            # per class: (the top half, the inner components it reaches)
+            b_labels = betas[i]._labels
+            b_top = b_labels[mid:]
+            # beta's labels from nm on are its parts that miss the middle
+            # row: each is a component of its own, coded past every root
+            outside = max(b_labels) + 1 - nm if b_labels else 0
+            tops = []
+            for reach in classes:
+                nbot = reach[-1]
+                first = {}
+                top = []
+                for v in b_top:
+                    v = reach[v] if v < nm else nbot + v
+                    top.append(v if v < nbot else first.setdefault(v, nbot + len(first)))
+                tops.append((tuple(top), len(first) - outside))
+            row = rows[i]
+            if mirrored:
+                ti = tB[i]
+                for t, (sub, c, inner) in enumerate(halves[i - start:], i):
+                    top, reached = tops[c]
+                    closed, k = inner - reached, sub[top][0]
+                    entry, mirror = (closed, 1, k), (closed, 1, tC[k])
+                    row[tB[t]] = entries.setdefault(entry, entry)
+                    rows[t][ti] = entries.setdefault(mirror, mirror)
+                continue
+            if signed:
+                beta_eps = epsilon_sign(betas[i])
+            for j, (sub, c, inner) in enumerate(halves):
+                top, reached = tops[c]
+                closed = inner - reached
+                k, sign = sub[top]
+                if signed:
+                    sign *= alpha_eps[j] * beta_eps * (-1 if closed % 2 else 1)
+                entry = (closed, sign, k)
+                row[j] = entries.setdefault(entry, entry)
+    return tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=None)

@@ -83,7 +83,7 @@ def _partition(parts):
 
 def partitions_of(n):
     """All partitions of n in reverse lexicographic order."""
-    check_nonnegative("partition size", n)
+    [n] = check_nonnegative("partition size", n)
 
     def gen(remaining, cap):
         if remaining == 0:
@@ -421,7 +421,7 @@ def _permutation_of_type(rho):
 def verify_principal_decomposition(n, m):
     """Check that the permutation character of the hom space matches the
     weight multiplicities predicted by the projective decomposition."""
-    check_nonnegative("row size", n, m)
+    n, m = check_nonnegative("row size", n, m)
     if (n + m) % 2 != 0:
         raise SizeMismatch("hom space is zero for odd total size")
     details = {}

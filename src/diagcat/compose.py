@@ -1,9 +1,13 @@
 """Composition: `compose` is the one composer of every variant. It
-stacks two diagrams, merges their parts through the middle row with a
-union-find and counts the closed loops; then the operands' class adds
-its rule: the sign of the oriented variant from the comparison functor,
-the zero of the degenerate partition rule, or no loops for partial
-injections.
+stacks two diagrams, merges their parts through the middle row with
+`_merge`, scans the outer rows for the composite's labels and counts
+the closed loops; then the operands' class adds its rule: the sign of
+the oriented variant from the comparison functor, the zero of the
+degenerate partition rule, or no loops for partial injections.
+
+`_merge` is the one union-find of the package: the composition tables
+of `algebra` run it once per alpha and middle row that a group of betas
+shares, and read each composite as a bottom half plus a top half.
 """
 
 from .chars import cycle_type
@@ -59,54 +63,35 @@ def _check(beta, alpha):
         )
 
 
-def _glue(b_labels, mid, alphas):
-    """Stack each alpha under one beta and merge their parts through the
-    `mid` middle vertices: the kernel of `compose` and of the tables.
+def _merge(na, a_mid, b_mid, parts):
+    """Merge alpha's and beta's parts through the middle row: the one
+    union-find of `compose` and of the composition tables.
 
     The parts are a matching's edges or a partition's blocks, and the
-    labels name the part at each vertex. Each alpha comes as `_glued`
-    gives it, beta as its labels. A union-find over the parts (alpha's
-    first, then beta's) joins the two parts at each middle vertex. The
-    outer vertices b1..bn, t1..tp are then scanned and their roots
-    numbered by first appearance, which gives the composite's labels.
-    Returns, per alpha, (closed, labels, cyclic): the number of merged
-    components without an outer vertex, the composite's labels, and
-    whether some middle vertex joined two parts already connected.
+    labels name the part at each vertex; alpha's `na` parts come first
+    and beta's follow, `parts` in all. At each middle vertex the part of
+    alpha (`a_mid`) is joined to the part of beta (`b_mid`). Returns the
+    parent list, whose roots name the merged components, and the number
+    of joins; a middle vertex that joins no two parts closes a cycle.
     """
-    b_mid, b_top = b_labels[:mid], b_labels[mid:]
-    nb = max(b_labels) + 1 if b_labels else 0
-    out = []
-    for na, a_bottom, a_mid in alphas:
-        parts = na + nb
-        parent = _ROOTS[:parts] if parts <= 64 else list(range(parts))
-        joins = 0
-        for x, y in zip(a_mid, b_mid):
-            y += na
-            while parent[x] != x:
-                x = parent[x]
-            while parent[y] != y:
-                y = parent[y]
-            if x != y:
-                parent[y] = x
-                joins += 1
-        number = {}
-        labels = []
-        for x in a_bottom:
-            while parent[x] != x:
-                x = parent[x]
-            labels.append(number.setdefault(x, len(number)))
-        for x in b_top:
-            x += na
-            while parent[x] != x:
-                x = parent[x]
-            labels.append(number.setdefault(x, len(number)))
-        # each join that finds its two parts already connected closes a cycle
-        out.append((parts - joins - len(number), tuple(labels), mid > joins))
-    return out
+    parent = _ROOTS[:parts] if parts <= 64 else list(range(parts))
+    joins = 0
+    for x, y in zip(a_mid, b_mid):
+        y += na
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            parent[y] = x
+            joins += 1
+    return parent, joins
 
 
 def _glued(alpha):
-    """(part count, bottom labels, middle labels) of alpha, as `_glue` reads it."""
+    """(part count, bottom labels, middle labels) of alpha: what the
+    composition tables read of an alpha, once for all the middle rows
+    it is merged with."""
     n, labels = alpha.n, alpha._labels
     return max(labels) + 1 if labels else 0, labels[:n], labels[n:]
 
@@ -170,14 +155,33 @@ def compose(beta, alpha):
       loops: a middle vertex neither operand maps is a part of its own.
     """
     _check(beta, alpha)
-    [(closed, labels, cyclic)] = _glue(beta._labels, alpha.m, [_glued(alpha)])
+    n, mid = alpha.n, alpha.m
+    a_labels, b_labels = alpha._labels, beta._labels
+    na = max(a_labels) + 1 if a_labels else 0
+    parts = na + max(b_labels) + 1 if b_labels else na
+    parent, joins = _merge(na, a_labels[n:], b_labels[:mid], parts)
+    # the outer vertices b1..bn, t1..tp, their roots numbered by first
+    # appearance, give the composite's labels
+    number = {}
+    labels = []
+    for x in a_labels[:n]:
+        while parent[x] != x:
+            x = parent[x]
+        labels.append(number.setdefault(x, len(number)))
+    for x in b_labels[mid:]:
+        x += na
+        while parent[x] != x:
+            x = parent[x]
+        labels.append(number.setdefault(x, len(number)))
+    # the merged components without an outer vertex are closed loops
+    closed = parts - joins - len(number)
     cls = type(alpha)
-    result = cls._trusted(alpha.bottom, beta.top, labels)
+    result = cls._trusted(alpha.bottom, beta.top, tuple(labels))
     if cls is SignedBrauerDiagram:
         sign = epsilon_sign(alpha) * epsilon_sign(beta) * epsilon_sign(result)
         return CompositionResult(closed, result, -sign if closed % 2 else sign)
     if cls is DegeneratePartitionDiagram:
-        return CompositionResult(closed, result, 1, cyclic)
+        return CompositionResult(closed, result, 1, mid > joins)
     if cls is PartialInjection:
         return CompositionResult(0, result)
     return CompositionResult(closed, result)

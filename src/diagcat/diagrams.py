@@ -47,10 +47,33 @@ def _vertex(n, k):
 
 
 def check_nonnegative(what, *sizes):
-    """Refuse a negative row size, color count or sweep size up front."""
+    """The row sizes, color counts or sweep sizes as ints, judged by
+    value: an integral number is that int. Anything else, or a negative
+    size, is refused up front."""
+    out = []
     for size in sizes:
+        if type(size) is not int:
+            try:
+                value = int(size)
+                integral = value == size
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise ShapeMismatch(f"{what} {size!r} is not an integer")
+            size = value
         if size < 0:
             raise ShapeMismatch(f"{what} {size} is negative")
+        out.append(size)
+    return out
+
+
+def _color_counts(row):
+    """A walled row, a pair of color counts, as a tuple of ints."""
+    try:
+        first, second = row
+    except (TypeError, ValueError):
+        raise ShapeMismatch(f"a walled row is a pair of color counts, not {row!r}") from None
+    return tuple(check_nonnegative("color count", first, second))
 
 
 def _canon_edge(e):
@@ -561,14 +584,30 @@ def disjoint_union(d1, d2):
 
 
 def _matchings(points):
-    if not points:
-        yield []
-        return
-    first = points[0]
-    for idx in range(1, len(points)):
-        rest = points[1:idx] + points[idx + 1 :]
-        for sub in _matchings(rest):
-            yield [(first, points[idx])] + sub
+    """The perfect matchings of the points, each a tuple of its edges;
+    for sorted points, the edges of each are canonical and sorted.
+
+    The first free point is matched with each later free point in turn.
+    The free points stay in one list: a partner is taken out while the
+    rest are matched, then put back, so no level copies the list.
+    """
+    out = []
+    edges = []
+    free = list(points)
+
+    def match():
+        if not free:
+            out.append(tuple(edges))
+            return
+        first = free.pop(0)
+        for idx in range(len(free)):
+            edges.append((first, free.pop(idx)))
+            match()
+            free.insert(idx, edges.pop()[1])
+        free.insert(0, first)
+
+    match()
+    return out
 
 
 def _noncrossing(points):
@@ -604,10 +643,10 @@ def enumerate_diagrams(variant, bottom, top):
     cls = variant_class(variant)
     walled = cls is WalledBrauerDiagram
     if walled:
-        check_nonnegative("color count", *bottom, *top)
+        bottom, top = _color_counts(bottom), _color_counts(top)
+        n, m = sum(bottom), sum(top)
     else:
-        check_nonnegative("row size", bottom, top)
-    n, m = (sum(bottom), sum(top)) if walled else (bottom, top)
+        bottom, top = n, m = check_nonnegative("row size", bottom, top)
     points = [(BOTTOM, i) for i in range(1, n + 1)] + [
         (TOP, i) for i in range(1, m + 1)
     ]
@@ -629,18 +668,17 @@ def enumerate_diagrams(variant, bottom, top):
         for edges in _noncrossing(points[:n] + points[n:][::-1]):
             found.append(tuple(sorted(map(_canon_edge, edges))))
     elif walled:
-        bottom, top = tuple(bottom), tuple(top)
 
         def color(v):
             row, i = v
             return 1 if i <= (bottom[0] if row == BOTTOM else top[0]) else 2
 
-        # _matchings yields each matching as canonical edges in sorted order
+        # _matchings gives each matching as canonical edges in sorted order
         for edges in _matchings(points):
             if all((color(a) == color(b)) != (a[0] == b[0]) for a, b in edges):
-                found.append(tuple(edges))
+                found.append(edges)
     else:
-        found = [tuple(edges) for edges in _matchings(points)]
+        found = _matchings(points)
     # the values share their rows, so they sort as their parts do; each
     # keeps the parts it was built from, whose labels need no checking:
     # vertex (row, i) sits at i - 1 + n * row, as BOTTOM is 0 and TOP 1

@@ -328,7 +328,7 @@ def verify_t3(variant, n, m):
     """
     if variant not in _AXIOM_VARIANTS:
         raise UnsupportedVariant.of("the (T3) count", variant, _AXIOM_VARIANTS)
-    check_nonnegative("row size", n, m)
+    n, m = check_nonnegative("row size", n, m)
     _check_pair_budget(variant, [(n, m)])
     return _t3_report(variant, n, m, {})[0]
 
@@ -342,7 +342,7 @@ def check_triangular_axioms(variant, max_size):
     """
     if variant not in _AXIOM_VARIANTS:
         raise UnsupportedVariant.of("the triangular-axiom check", variant, _AXIOM_VARIANTS)
-    check_nonnegative("max_size", max_size)
+    [max_size] = check_nonnegative("max_size", max_size)
     sizes = range(max_size + 1)
     # the spaces of each size come after those of the smaller sizes
     growing = ((n, m) for s in sizes for n, m in product(range(s + 1), repeat=2) if s in (n, m))

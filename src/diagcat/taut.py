@@ -299,7 +299,7 @@ def verify_taut_functoriality(ctx, max_size):
     before any hom space is enumerated, and a negative max_size with
     ShapeMismatch.
     """
-    check_nonnegative("max_size", max_size)
+    [max_size] = check_nonnegative("max_size", max_size)
     _check_budget(ctx.dim, max_size)
     variant = ctx.variant
     _check_pair_budget(variant, max_size)

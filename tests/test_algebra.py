@@ -19,7 +19,7 @@ from diagcat.algebra import (
     poly_det,
 )
 from diagcat.coeff import DeltaPoly
-from diagcat.compose import _glue
+from diagcat.compose import _merge
 from diagcat.diagrams import VARIANTS
 from diagcat.errors import DimensionBudgetExceeded, ShapeMismatch, UnsupportedVariant
 from helpers import check_associativity
@@ -171,6 +171,55 @@ class TestCompositionTable:
             with pytest.raises(UnsupportedVariant, match=f"^the composition table supports .*; not {variant}$"):
                 composition_table(variant, 2, 2, 2)
 
+    @pytest.mark.parametrize(
+        "variant,x,y,z",
+        [
+            ("brauer", 1, 3, 5),
+            ("partition", 1, 2, 3),
+            ("temperley_lieb", 1, 3, 5),
+            ("signed", 1, 3, 5),
+            ("walled", (1, 0), (2, 1), (3, 2)),
+        ],
+    )
+    def test_shared_middles_agree_with_compose(self, variant, x, y, z):
+        # past SMALL_OBJECTS, with many betas to each middle row: every
+        # pair is read off its group's merges, none off a transpose
+        alphas, betas, composites = (hom_basis(variant, *hom) for hom in ((x, y), (y, z), (x, z)))
+        middles = {beta.labels()[: beta.n] for beta in betas}
+        assert x < z and len(alphas) > 1 and len(betas) >= 4 * len(middles)
+        table = composition_table(variant, x, y, z)
+        signs = set()
+        for beta, row in zip(betas, table):
+            for alpha, (closed, sign, k) in zip(alphas, row):
+                res = compose(beta, alpha)
+                assert (closed, sign, composites[k]) == (res.closed_count, res.sign, res.result)
+                signs.add(sign)
+        assert signs == ({1, -1} if variant == "signed" else {1})
+
+    def test_sizes_judged_by_value_cold_or_warm(self):
+        # an integral float is its int whether or not the space is cached,
+        # and a size that is not integral is refused either way
+        for warm in (False, True):
+            hom_basis.cache_clear()
+            composition_table.cache_clear()
+            if warm:
+                composition_table("brauer", 2, 2, 2)
+            assert len(hom_basis("brauer", 2.0, 2)) == 3
+            assert composition_table("brauer", 2.0, 2, 2) == composition_table("brauer", 2, 2, 2)
+            # each triple with the one of its hom spaces that is ill-shaped
+            refused = [
+                ("brauer", (2.5, 2, 2), (2.5, 2)),
+                ("brauer", (2, 2, "2"), (2, "2")),
+                ("walled", (1, 1, 1), (1, 1)),
+                ("walled", ((1, 0), (1, 0), 1), ((1, 0), 1)),
+                ("partition", ((1, 0),) * 3, ((1, 0),) * 2),
+            ]
+            for variant, triple, hom in refused:
+                with pytest.raises(ShapeMismatch):
+                    composition_table(variant, *triple)
+                with pytest.raises(ShapeMismatch):
+                    hom_basis(variant, *hom)
+
     def test_transpose_maps(self):
         for variant, size in TABLES[0].items():
             if variant == "signed":
@@ -224,25 +273,37 @@ class TestCompositionTable:
                 assert (closed, sign, composites[k]) == (res.closed_count, res.sign, res.result)
 
     def test_half_the_pairs_are_glued(self, monkeypatch):
-        # a table that falls back to gluing every pair fails here
-        glued, pairs = Counter(), Counter()
+        # one merge per distinct beta middle and alpha that its group needs:
+        # a table that falls back to one merge per pair fails here
+        merged, bound, pairs = Counter(), Counter(), Counter()
 
-        def counting_glue(b_labels, mid, alphas):
-            glued[variant] += len(alphas)
-            return _glue(b_labels, mid, alphas)
+        def counting_merge(na, a_mid, b_mid, parts):
+            merged[variant] += 1
+            return _merge(na, a_mid, b_mid, parts)
 
-        monkeypatch.setattr("diagcat.algebra._glue", counting_glue)
+        monkeypatch.setattr("diagcat.algebra._merge", counting_merge)
         composition_table.cache_clear()
         try:
             for variant, size in TABLES[0].items():
                 for x, y, z in product(_objects(variant, size), repeat=3):
-                    pairs[variant] += len(hom_basis(variant, x, y)) * len(hom_basis(variant, y, z))
+                    alphas, betas = hom_basis(variant, x, y), hom_basis(variant, y, z)
+                    pairs[variant] += len(alphas) * len(betas)
                     composition_table(variant, x, y, z)
+                    if variant != "signed" and x > z:
+                        continue  # read off the table of (z, y, x)
+                    # a group's first beta, in the mirrored order, needs the most alphas
+                    first = {}
+                    for i, beta in enumerate(betas):
+                        first.setdefault(beta.labels()[: beta.n], i)
+                    mirrored = variant != "signed" and x == z
+                    bound[variant] += sum(len(alphas) - (i if mirrored else 0) for i in first.values())
         finally:
             composition_table.cache_clear()
-        assert glued["signed"] == pairs["signed"]
+        for variant in TABLES[0]:
+            assert merged[variant] <= bound[variant], (variant, merged[variant], bound[variant])
+        assert merged["signed"] < pairs["signed"]
         for variant, share in [("brauer", 0.52), ("partition", 0.52), ("walled", 0.65), ("temperley_lieb", 0.65)]:
-            assert glued[variant] <= share * pairs[variant], (variant, glued[variant] / pairs[variant])
+            assert merged[variant] <= share * pairs[variant], (variant, merged[variant] / pairs[variant])
 
 
 class TestAlgebraTables:

@@ -146,6 +146,23 @@ def test_negative_sizes_are_refused(variant):
             verify_taut_functoriality(TautContext(variant, dim=2), -1)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sizes_are_judged_by_value(variant):
+    # an integral number is that int; any other size, or a pair where a
+    # row size is due and an int where a walled row is due, is refused
+    if variant == "walled":
+        assert enumerate_diagrams(variant, (1.0, 1), (True, 1)) == enumerate_diagrams(variant, (1, 1), (1, 1))
+        shapes = [(1, 1), ((1, 0), 1), ((1.5, 0), (1, 0)), (("1", 0), (1, 0)), ((1, 0, 0), (1, 0))]
+    else:
+        assert enumerate_diagrams(variant, 2.0, 2) == enumerate_diagrams(variant, 2, 2)
+        shapes = [(2.5, 2), ("2", 2), ((1, 0), (1, 0)), (2, None), (float("inf"), 1)]
+    for bottom, top in shapes:
+        with pytest.raises(ShapeMismatch, match="is not an integer$|^a walled row is a pair"):
+            enumerate_diagrams(variant, bottom, top)
+    for d in enumerate_diagrams(variant, *(((1.0, 1), (1, 1)) if variant == "walled" else (2.0, 2))):
+        assert all(type(size) is int for size in (d.n, d.m))
+
+
 class TestPredicates:
     def test_identity_is_both(self):
         for variant in ("brauer", "partition"):
