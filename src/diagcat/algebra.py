@@ -106,7 +106,8 @@ def hom_basis(variant, x, y):
 def _basis_index(variant, x, y):
     """index[bottom][top] = (k, epsilon sign) of hom_basis(variant, x,
     y)[k], whose labels are bottom + top: the labels of its bottom row,
-    then those of its top row."""
+    then those of its top row. `_products` finds each composite in it,
+    and `_transpose_map` each transpose."""
     eps = epsilon_sign if variant == "signed" else lambda d: 1
     index = {}
     for k, d in enumerate(hom_basis(variant, x, y)):
@@ -139,61 +140,60 @@ def composition_table(variant, x, y, z):
     """table[i][j] = (closed, sign, k): hom_basis(y, z)[i] after
     hom_basis(x, y)[j] is d^closed * sign * hom_basis(x, z)[k].
 
-    Built on labels, each composite read as a bottom half plus a top
-    half. The middle labels of a beta, those of its bottom row, are a
-    restricted-growth string of their own, so the betas that share them
-    share every merge through the middle row and differ only in their
-    top rows. The betas are grouped by their middle labels, and per
-    group and alpha `compose`'s union-find (`_merge`) runs once. It
-    gives the bottom half, the composite's labels on alpha's bottom row;
-    the inner components, merged parts with no bottom vertex; and the
-    alpha's class: for each middle part, the label of its component on
-    the bottom row or the number of its inner component, with the count
-    of bottom labels. Per class and beta of the group, the top half is
-    the composite's labels on beta's top row, with the number of inner
-    components it reaches. A pair then costs one lookup in the two-level
-    index, and closed = inner - reached.
-
-    Transposing keeps loops and reverses composition, (beta o alpha)^T
-    = alpha^T o beta^T, so of each pair and its transpose only one is
-    computed. With tA, tB and tC the transpose maps of Hom(x, y),
-    Hom(y, z) and Hom(z, x):
-    - x < z: every pair is computed;
-    - x > z: entry [i][j] is entry [tA[j]][tB[i]] of the table of
-      (z, y, x), with its k sent through tC;
-    - x == z: the pair (i, j) and its mirror (tA[j], tB[i]) lie in this
-      table. Row i computes the alphas j with tA[j] >= i, taken in the
-      order of tA[j], and writes each entry's mirror too: about half the
-      pairs. A group merges the alphas that its first beta needs.
-    The signed tables compute every pair: transpose is not defined on
-    oriented values, and their tables are tiny.
-    Equal entries are one shared tuple, so a table costs about one
-    pointer per pair. The algebra on [n] and every tautological sweep
-    through the triple read the same table. Signs are as in `compose`.
+    The pairs are composed by `_products`. Transposing keeps loops and
+    reverses composition, (beta o alpha)^T = alpha^T o beta^T, so a
+    table with x > z is read off the table of (z, y, x): with tA, tB and
+    tC the transpose maps of Hom(x, y), Hom(y, z) and Hom(z, x), entry
+    [i][j] is entry [tA[j]][tB[i]] of that table, with its k sent
+    through tC. The signed tables compute every pair: transpose is not
+    defined on oriented values, and their tables are tiny. The algebra
+    on [n] and every tautological sweep through the triple read the
+    same table.
     """
     if variant not in _TABLE_VARIANTS:
         raise UnsupportedVariant.of("the composition table", variant, _TABLE_VARIANTS)
     alphas, betas = hom_basis(variant, x, y), hom_basis(variant, y, z)
     if not alphas or not betas:
         return ((),) * len(betas)
-    signed = variant == "signed"
-    if not signed and x > z:
+    if variant != "signed" and x > z:
         tA, tB = _transpose_map(variant, x, y), _transpose_map(variant, y, z)
         tC = _transpose_map(variant, z, x)
         transposed = composition_table(variant, z, y, x)
         mirror = {e: (e[0], e[1], tC[e[2]]) for e in set().union(*transposed)}
         return tuple(tuple([mirror[transposed[t][s]] for t in tA]) for s in tB)
-    index = _basis_index(variant, x, z)
-    mirrored = not signed and x == z
-    if mirrored:
-        # tB inverts the transpose map of the alphas, so it lists them by
-        # the index of their transpose
-        tB, tC = _transpose_map(variant, y, x), _transpose_map(variant, x, x)
-        glued = [_glued(alphas[j]) for j in tB]
-    else:
-        glued = [_glued(a) for a in alphas]
-        if signed:
-            alpha_eps = [epsilon_sign(a) for a in alphas]
+    return _products(variant, alphas, betas, _basis_index(variant, x, z))
+
+
+def _products(variant, alphas, betas, index):
+    """rows[i][j] = (closed, sign, k): betas[i] after alphas[j] is
+    d^closed * sign * the diagram at k of `index`, the `_basis_index` of
+    the hom space of the composites. The alphas and betas are any lists
+    of one hom space each; this is the one loop that composes pairs in
+    bulk.
+
+    Each composite is read as a bottom half plus a top half. The middle
+    labels of a beta, those of its bottom row, are a restricted-growth
+    string of their own, so the betas that share them share every merge
+    through the middle row and differ only in their top rows. The betas
+    are grouped by their middle labels, and per group and alpha
+    `compose`'s union-find (`_merge`) runs once. It gives the bottom
+    half, the composite's labels on alpha's bottom row; the inner
+    components, merged parts with no bottom vertex; and the alpha's
+    class: for each middle part, the label of its component on the
+    bottom row or the number of its inner component, with the count of
+    bottom labels. Per class and beta of the group, the top half is the
+    composite's labels on beta's top row, with the number of inner
+    components it reaches. A pair then costs one lookup in the two-level
+    index, and closed = inner - reached. Equal entries are one shared
+    tuple, so a table costs about one pointer per pair. Signs are as in
+    `compose`.
+    """
+    if not alphas or not betas:
+        return ((),) * len(betas)
+    glued = [_glued(a) for a in alphas]
+    signed = variant == "signed"
+    if signed:
+        alpha_eps = [epsilon_sign(a) for a in alphas]
     mid = betas[0].n
     groups = {}
     for i, beta in enumerate(betas):
@@ -202,13 +202,12 @@ def composition_table(variant, x, y, z):
     entries = {}
     for b_mid, members in groups.items():
         nm = max(b_mid) + 1 if b_mid else 0
-        start = members[0] if mirrored else 0
         # per alpha: (the sub-index of its bottom half, its class, its
         # inner components); the roots met on the bottom row are numbered
         # by first appearance, 0..nbot-1, and the inner ones go on from nbot
         classes = {}
         halves = []
-        for na, a_bottom, a_mid in glued[start:]:
+        for na, a_bottom, a_mid in glued:
             parent, _ = _merge(na, a_mid, b_mid, na + nm)
             number = {}
             bottom = []
@@ -242,15 +241,6 @@ def composition_table(variant, x, y, z):
                     top.append(v if v < nbot else first.setdefault(v, nbot + len(first)))
                 tops.append((tuple(top), len(first) - outside))
             row = rows[i]
-            if mirrored:
-                ti = tB[i]
-                for t, (sub, c, inner) in enumerate(halves[i - start:], i):
-                    top, reached = tops[c]
-                    closed, k = inner - reached, sub[top][0]
-                    entry, mirror = (closed, 1, k), (closed, 1, tC[k])
-                    row[tB[t]] = entries.setdefault(entry, entry)
-                    rows[t][ti] = entries.setdefault(mirror, mirror)
-                continue
             if signed:
                 beta_eps = epsilon_sign(betas[i])
             for j, (sub, c, inner) in enumerate(halves):

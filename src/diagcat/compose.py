@@ -5,9 +5,11 @@ the closed loops; then the operands' class adds its rule: the sign of
 the oriented variant from the comparison functor, the zero of the
 degenerate partition rule, or no loops for partial injections.
 
-`_merge` is the one union-find of the package: the composition tables
-of `algebra` run it once per alpha and middle row that a group of betas
-shares, and read each composite as a bottom half plus a top half.
+`_merge` is the one union-find of the package. The bulk composer of
+`algebra`, `_products`, which builds the composition tables and composes
+the pairs of the axiom checks, runs it once per alpha and middle row that
+a group of betas shares, and reads each composite as a bottom half plus
+a top half.
 """
 
 from .chars import cycle_type
@@ -65,7 +67,7 @@ def _check(beta, alpha):
 
 def _merge(na, a_mid, b_mid, parts):
     """Merge alpha's and beta's parts through the middle row: the one
-    union-find of `compose` and of the composition tables.
+    union-find of `compose` and of the bulk products.
 
     The parts are a matching's edges or a partition's blocks, and the
     labels name the part at each vertex; alpha's `na` parts come first
@@ -90,8 +92,8 @@ def _merge(na, a_mid, b_mid, parts):
 
 def _glued(alpha):
     """(part count, bottom labels, middle labels) of alpha: what the
-    composition tables read of an alpha, once for all the middle rows
-    it is merged with."""
+    bulk products read of an alpha, once for all the middle rows it is
+    merged with."""
     n, labels = alpha.n, alpha._labels
     return max(labels) + 1 if labels else 0, labels[:n], labels[n:]
 

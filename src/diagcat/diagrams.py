@@ -668,15 +668,12 @@ def enumerate_diagrams(variant, bottom, top):
         for edges in _noncrossing(points[:n] + points[n:][::-1]):
             found.append(tuple(sorted(map(_canon_edge, edges))))
     elif walled:
-
-        def color(v):
-            row, i = v
-            return 1 if i <= (bottom[0] if row == BOTTOM else top[0]) else 2
-
-        # _matchings gives each matching as canonical edges in sorted order
-        for edges in _matchings(points):
-            if all((color(a) == color(b)) != (a[0] == b[0]) for a, b in edges):
-                found.append(edges)
+        # every edge joins a vertex of one class, the color-1 vertices of
+        # the bottom row and the color-2 ones of the top, to one of the other
+        b1, t1 = bottom[0], top[0]
+        ends, others = points[:b1] + points[n + t1 :], points[b1 : n + t1]
+        if len(ends) == len(others):
+            found = [tuple(sorted(map(_canon_edge, zip(ends, p)))) for p in permutations(others)]
     else:
         found = _matchings(points)
     # the values share their rows, so they sort as their parts do; each

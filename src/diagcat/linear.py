@@ -5,7 +5,7 @@ and the verifiers of the triangular axioms built on top of them.
 from itertools import product
 from math import factorial
 
-from .algebra import _hom_size, hom_basis
+from .algebra import _basis_index, _hom_size, _products, hom_basis
 from .coeff import DeltaPoly
 from .compose import compose
 from .diagrams import (
@@ -247,11 +247,13 @@ def factorize(d):
 _AXIOM_VARIANTS = ("brauer", "partition", "temperley_lieb")
 
 # Down-after-up pairs, counted as in _check_pair_budget. On 2 CPUs
-# (Python 3.11.7) verify_t3 took 0.2 s on partition 4 -> 4 (99,360,
-# criterion 3's largest), 0.2 s on brauer 5 -> 5 (113,400) and 2.9 s on
-# temperley_lieb 11 -> 11 (58,786, on 22 vertices); it took 1.3 s on
-# partition 5 -> 4 (507,528) and 9 s on brauer 6 -> 6 (7,484,400), and
-# the axiom checks to brauer size 6 (7,647,592) took 21 s.
+# (Python 3.11.7, cold, three runs each) verify_t3 took 0.06-0.08 s on
+# partition 4 -> 4 (99,360, criterion 3's largest), 0.02-0.03 s on
+# brauer 5 -> 5 (113,400) and 2.0-2.3 s on temperley_lieb 11 -> 11
+# (58,786, on 22 vertices, about half of it enumerating); it took 0.35-0.40 s
+# on partition 5 -> 4 (507,528) and 0.6-1.1 s on brauer 6 -> 6
+# (7,484,400), and the axiom checks to brauer size 6 (7,647,592) took
+# 3.1-3.5 s in two runs.
 T3_PAIR_BUDGET = 200_000
 
 
@@ -276,10 +278,11 @@ def _check_pair_budget(variant, spaces):
 
 
 def _flagged(variant, x, y, flags):
-    """(upwards, downwards) diagrams of Hom(x, y), flagged once per check in its dict `flags`."""
+    """The upwards and the downwards diagrams of Hom(x, y), each a dict
+    from basis index to diagram, flagged once per check in its dict `flags`."""
     if (x, y) not in flags:
         basis = hom_basis(variant, x, y)
-        flags[x, y] = [d for d in basis if is_upwards(d)], [d for d in basis if is_downwards(d)]
+        flags[x, y] = tuple({k: d for k, d in enumerate(basis) if flag(d)} for flag in (is_upwards, is_downwards))
     return flags[x, y]
 
 
@@ -287,25 +290,24 @@ def _t3_report(variant, n, m, flags):
     """verify_t3's report on Hom([n],[m]), and whether none of its
     up-after-down composites closed a loop."""
     basis = hom_basis(variant, n, m)
-    through = {}  # diagram -> the middle object of each pair giving it
+    index = _basis_index(variant, n, m)
+    through = {}  # basis index -> the middle object of each pair giving it
     loop_free = True
     # an empty hom space has an empty factor at every middle object
     for p in range(min(n, m) + 1 if basis else 0):
-        ups = _flagged(variant, p, m, flags)[0]
-        for down in _flagged(variant, n, p, flags)[1]:
-            for up in ups:
-                res = compose(up, down)
-                if res.closed_count != 0:
+        downs = [*_flagged(variant, n, p, flags)[1].values()]
+        ups = [*_flagged(variant, p, m, flags)[0].values()]
+        for row in _products(variant, downs, ups, index):
+            for closed, _, k in row:
+                if closed:
                     loop_free = False
-                    continue
-                through.setdefault(res.result, []).append(p)
+                else:
+                    through.setdefault(k, []).append(p)
     # a diagram counts when its pairs form one free orbit: all through
-    # one middle object p, as many as its bijections; once all count, a
-    # composite outside the basis would make `through` the longer
+    # one middle object p, as many as its bijections
     lhs_dim = 0
-    for d in basis:
-        ps = through.get(d)
-        if ps and ps[0] == ps[-1] and len(ps) == _middle_aut_order(variant, ps[0]):
+    for ps in through.values():
+        if ps[0] == ps[-1] and len(ps) == _middle_aut_order(variant, ps[0]):
             lhs_dim += 1
     report = {
         "category": variant,
@@ -313,7 +315,7 @@ def _t3_report(variant, n, m, flags):
         "target": m,
         "lhs_dim": lhs_dim,
         "rhs_dim": len(basis),
-        "pass": loop_free and lhs_dim == len(basis) == len(through),
+        "pass": loop_free and lhs_dim == len(basis),
     }
     return report, loop_free
 
@@ -336,9 +338,10 @@ def verify_t3(variant, n, m):
 def check_triangular_axioms(variant, max_size):
     """Exhaustively verify the triangular axioms up to the given size.
 
-    Every hom space is read from the shared `hom_basis`; each pair that
-    criterion (c) or (T3) needs is composed once. More than
-    T3_PAIR_BUDGET (T3) pairs in all are refused before any basis is built.
+    Every hom space is read from the shared `hom_basis`. The pairs of
+    criterion (c) and (T3) are composed in bulk by `_products`, those of
+    (c) once per subcategory they lie in. More than T3_PAIR_BUDGET (T3)
+    pairs in all are refused before any basis is built.
     """
     if variant not in _AXIOM_VARIANTS:
         raise UnsupportedVariant.of("the triangular-axiom check", variant, _AXIOM_VARIANTS)
@@ -357,9 +360,9 @@ def check_triangular_axioms(variant, max_size):
         # (T1), structural part: both-ways diagrams are exactly the bijections
         ups, downs = _flagged(variant, n, m, flags)
         if n == m:
-            both = set(ups).intersection(downs)
+            both = ups.keys() & downs.keys()
             expected = _middle_aut_order(variant, n)
-            if len(both) != expected or not all(_is_bijection_diagram(d) for d in both):
+            if len(both) != expected or not all(_is_bijection_diagram(basis[k]) for k in both):
                 t1_pass = False
         # (T2): hom spaces of the wide subcategories respect the size order
         if n != m and (ups if n > m else downs):
@@ -379,19 +382,15 @@ def check_triangular_axioms(variant, max_size):
         crit_c_pass = crit_c_pass and loop_free
         crit_d_pass = crit_d_pass and rep["pass"]
 
-    # criterion (c): the subcategories are closed under composition; a
-    # pair of bijections lies in both and is composed once
+    # criterion (c): the subcategories are closed under composition
     for n, m, k in product(sizes, repeat=3):
-        pairs = {}
-        for i, flag in enumerate((is_upwards, is_downwards)):
-            gs = _flagged(variant, m, k, flags)[i]
-            for f in _flagged(variant, n, m, flags)[i]:
-                for g in gs:
-                    pairs.setdefault((f, g), []).append(flag)
-        for (f, g), held in pairs.items():
-            res = compose(g, f)
-            if res.closed_count != 0 or not all(flag(res.result) for flag in held):
-                crit_c_pass = False
+        index = _basis_index(variant, n, k)
+        # the upwards pairs, then the downwards ones
+        for i in range(2):
+            fs, gs, held = (_flagged(variant, x, y, flags)[i] for x, y in ((n, m), (m, k), (n, k)))
+            for row in _products(variant, [*fs.values()], [*gs.values()], index):
+                if any(closed or j not in held for closed, _, j in row):
+                    crit_c_pass = False
 
     return {
         "category": variant,

@@ -1,14 +1,16 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from diagcat import compose, enumerate_diagrams, transpose
+from diagcat import compose, enumerate_diagrams, is_downwards, is_upwards, transpose
 from diagcat.algebra import (
     AlgebraTable,
     _basis_index,
     _hom_size,
+    _products,
     _transpose_map,
     build_algebra,
     composition_table,
@@ -272,9 +274,41 @@ class TestCompositionTable:
                 res = compose(beta, alpha)
                 assert (closed, sign, composites[k]) == (res.closed_count, res.sign, res.result)
 
+    @pytest.mark.parametrize(
+        "variant,x,y,z",
+        [
+            ("brauer", 4, 2, 4),
+            ("partition", 3, 2, 3),
+            ("temperley_lieb", 5, 3, 5),
+            ("walled", (2, 2), (1, 1), (2, 2)),
+            ("signed", 4, 2, 4),
+        ],
+    )
+    def test_products_of_sub_lists_agree_with_compose(self, variant, x, y, z):
+        # the axiom checks compose the flagged downwards alphas and upwards
+        # betas of a hom space, not its whole basis, in bulk
+        alphas, betas, composites = (hom_basis(variant, *hom) for hom in ((x, y), (y, z), (x, z)))
+        downs = [a for a in alphas if is_downwards(a)]
+        ups = [b for b in betas if is_upwards(b)]
+        assert 0 < len(downs) < len(alphas) and 0 < len(ups) < len(betas)
+        rng = random.Random(25)
+        cases = [(downs, ups), ([], ups), (downs, []), ([], [])]
+        for _ in range(3):
+            cases.append(tuple(rng.sample(hom, rng.randint(1, len(hom))) for hom in (alphas, betas)))
+        signs = set()
+        for some_alphas, some_betas in cases:
+            rows = _products(variant, some_alphas, some_betas, _basis_index(variant, x, z))
+            assert [len(row) for row in rows] == [len(some_alphas)] * len(some_betas)
+            for beta, row in zip(some_betas, rows):
+                for alpha, (closed, sign, k) in zip(some_alphas, row):
+                    res = compose(beta, alpha)
+                    assert (closed, sign, composites[k]) == (res.closed_count, res.sign, res.result)
+                    signs.add(sign)
+        assert signs == ({1, -1} if variant == "signed" else {1})
+
     def test_half_the_pairs_are_glued(self, monkeypatch):
-        # one merge per distinct beta middle and alpha that its group needs:
-        # a table that falls back to one merge per pair fails here
+        # one merge per distinct beta middle and alpha: a table that falls
+        # back to one merge per pair fails here
         merged, bound, pairs = Counter(), Counter(), Counter()
 
         def counting_merge(na, a_mid, b_mid, parts):
@@ -291,12 +325,8 @@ class TestCompositionTable:
                     composition_table(variant, x, y, z)
                     if variant != "signed" and x > z:
                         continue  # read off the table of (z, y, x)
-                    # a group's first beta, in the mirrored order, needs the most alphas
-                    first = {}
-                    for i, beta in enumerate(betas):
-                        first.setdefault(beta.labels()[: beta.n], i)
-                    mirrored = variant != "signed" and x == z
-                    bound[variant] += sum(len(alphas) - (i if mirrored else 0) for i in first.values())
+                    middles = {beta.labels()[: beta.n] for beta in betas}
+                    bound[variant] += len(middles) * len(alphas)
         finally:
             composition_table.cache_clear()
         for variant in TABLES[0]:

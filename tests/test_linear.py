@@ -26,7 +26,7 @@ from diagcat import (
 )
 from diagcat import linear
 from diagcat.algebra import hom_basis
-from diagcat.compose import CompositionResult, compose
+from diagcat.compose import compose
 from diagcat.errors import (
     DimensionBudgetExceeded,
     ShapeMismatch,
@@ -312,21 +312,22 @@ class TestVerifyT3:
         # the enumerator is replaced in every diagcat module, whether it
         # holds one or not, so a second route to a hom space shows here
         enumerations = Counter()
-        compositions = 0
+        pairs = 0
+        real = linear._products
 
         def counting_enumerate(variant, x, y):
             enumerations[variant, x, y] += 1
             return enumerate_diagrams(variant, x, y)
 
-        def counting_compose(g, f):
-            nonlocal compositions
-            compositions += 1
-            return compose(g, f)
+        def counting_products(variant, alphas, betas, index):
+            nonlocal pairs
+            pairs += len(alphas) * len(betas)
+            return real(variant, alphas, betas, index)
 
         for info in pkgutil.iter_modules(diagcat.__path__):
             module = importlib.import_module(f"diagcat.{info.name}")
             monkeypatch.setattr(module, "enumerate_diagrams", counting_enumerate, raising=False)
-        monkeypatch.setattr(linear, "compose", counting_compose)
+        monkeypatch.setattr(linear, "_products", counting_products)
         hom_basis.cache_clear()
         for variant in ("brauer", "partition", "temperley_lieb"):
             for n in range(9):
@@ -334,12 +335,13 @@ class TestVerifyT3:
                     verify_t3(variant, n, m)
         assert len(enumerations) == 135
         assert max(enumerations.values()) == 1
-        assert compositions == 68_291
+        # every down-after-up pair is composed once, in bulk
+        assert pairs == 68_291
 
     def test_empty_hom_space_is_not_searched(self, monkeypatch):
         # Hom([7], [8]) is empty, so every middle object has an empty
         # factor; the 135,135 diagrams of Hom([7], [7]) are not listed
-        monkeypatch.setattr(linear, "compose", None)
+        monkeypatch.setattr(linear, "_products", None)
         hom_basis.cache_clear()
         rep = verify_t3("brauer", 7, 8)
         assert rep["lhs_dim"] == rep["rhs_dim"] == 0 and rep["pass"]
@@ -392,6 +394,21 @@ class TestPairBudget:
             linear._check_pair_budget("partition", [(4, 4), (4, 4), (3, 5)])
 
 
+def _inject(monkeypatch, beta, alpha, closed, composite):
+    """beta after alpha reads d^closed * composite wherever the axiom
+    checks compose pairs in bulk."""
+    real = linear._products
+
+    def faulty(variant, alphas, betas, index):
+        k = hom_basis(variant, composite.bottom, composite.top).index(composite)
+        return tuple(
+            tuple((closed, 1, k) if (g, f) == (beta, alpha) else e for f, e in zip(alphas, row))
+            for g, row in zip(betas, real(variant, alphas, betas, index))
+        )
+
+    monkeypatch.setattr(linear, "_products", faulty)
+
+
 class TestAxioms:
     def test_brauer(self):
         rep = check_triangular_axioms("brauer", 3)
@@ -412,15 +429,7 @@ class TestAxioms:
         # the cup after the cap is made to close a loop: (c) and (d) fail,
         # and of the (T3) reports only Hom([2], [2])'s, where that pair
         # factorizes through [0]
-        real = linear.compose
-
-        def faulty(g, f):
-            res = real(g, f)
-            if g == CUP and f == CAP:
-                return CompositionResult(1, res.result)
-            return res
-
-        monkeypatch.setattr(linear, "compose", faulty)
+        _inject(monkeypatch, CUP, CAP, 1, compose(CUP, CAP).result)
         rep = check_triangular_axioms("brauer", 3)
         assert rep["t3"]["criterion_c"] is False
         assert rep["t3"]["criterion_d"] is False
@@ -441,12 +450,7 @@ class TestAxioms:
         pair = (swap, f)
         if downwards:
             pair, wrong = (transpose(f), swap), transpose(wrong)
-        real = linear.compose
-
-        def faulty(g, h):
-            return CompositionResult(0, wrong) if (g, h) == pair else real(g, h)
-
-        monkeypatch.setattr(linear, "compose", faulty)
+        _inject(monkeypatch, *pair, 0, wrong)
         rep = check_triangular_axioms("partition", 2)
         assert rep["t3"]["criterion_c"] is False
         assert rep["t3"]["criterion_d"] is True
