@@ -247,13 +247,13 @@ def factorize(d):
 _AXIOM_VARIANTS = ("brauer", "partition", "temperley_lieb")
 
 # Down-after-up pairs, counted as in _check_pair_budget. On 2 CPUs
-# (Python 3.11.7, cold, three runs each) verify_t3 took 0.06-0.08 s on
+# (Python 3.11.7, cold, three runs each) verify_t3 took 0.05-0.08 s on
 # partition 4 -> 4 (99,360, criterion 3's largest), 0.02-0.03 s on
-# brauer 5 -> 5 (113,400) and 2.0-2.3 s on temperley_lieb 11 -> 11
-# (58,786, on 22 vertices, about half of it enumerating); it took 0.35-0.40 s
-# on partition 5 -> 4 (507,528) and 0.6-1.1 s on brauer 6 -> 6
-# (7,484,400), and the axiom checks to brauer size 6 (7,647,592) took
-# 3.1-3.5 s in two runs.
+# brauer 5 -> 5 (113,400) and 1.7-2.5 s on temperley_lieb 11 -> 11
+# (58,786, on 22 vertices, about half of it enumerating); it took
+# 0.28-0.45 s on partition 5 -> 4 (507,528) and 0.56-0.70 s on brauer
+# 6 -> 6 (7,484,400), and the axiom checks to brauer size 6 (7,647,592)
+# took 2.2 s.
 T3_PAIR_BUDGET = 200_000
 
 
@@ -282,7 +282,9 @@ def _flagged(variant, x, y, flags):
     from basis index to diagram, flagged once per check in its dict `flags`."""
     if (x, y) not in flags:
         basis = hom_basis(variant, x, y)
-        flags[x, y] = tuple({k: d for k, d in enumerate(basis) if flag(d)} for flag in (is_upwards, is_downwards))
+        flags[x, y] = tuple(
+            {k: d for k, d in enumerate(basis) if flag(d)} for flag in (is_upwards, is_downwards)
+        )
     return flags[x, y]
 
 

@@ -233,8 +233,8 @@ class TestCompositionTable:
                 assert [back[t] for t in there] == list(range(len(there)))
 
     def test_cold_mirrored_requests(self):
-        # in reverse order each x > z and x == z table is requested before
-        # any table it could read
+        # in reverse order each x > z table is requested before the table
+        # of its transpose, which it reads
         triples = [
             (variant, *triple)
             for variant, size in TABLES[0].items()

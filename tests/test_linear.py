@@ -328,6 +328,8 @@ class TestVerifyT3:
             module = importlib.import_module(f"diagcat.{info.name}")
             monkeypatch.setattr(module, "enumerate_diagrams", counting_enumerate, raising=False)
         monkeypatch.setattr(linear, "_products", counting_products)
+        # and none goes through the one-pair compose
+        monkeypatch.setattr(linear, "compose", None)
         hom_basis.cache_clear()
         for variant in ("brauer", "partition", "temperley_lieb"):
             for n in range(9):
