@@ -14,9 +14,9 @@ each vertex of b1..bn, t1..tm, parts numbered by first appearance. With
 the rows, that flat int tuple is the value's identity; an oriented
 value adds the labels of its edges that point against the reference
 orientation. The nested parts (a matching's `edges`, a partition's
-`blocks`) are a view, derived on first read and kept on the value; a
-partial injection's `pairs` and an oriented value's `arrows` are views
-derived on each read. Sorting follows these views.
+`blocks`), a partial injection's `pairs` and an oriented value's
+`arrows` are views, derived from the labels on each read and never
+stored. Sorting follows these views.
 """
 
 from itertools import combinations, count, permutations
@@ -91,13 +91,14 @@ class Diagram:
     same fields, and the hash is computed once from them.
 
     `parts` lists the parts of `labels()` in canonical order, each a
-    sorted tuple of vertices, part k holding the vertices labelled k.
+    sorted tuple of vertices, part k holding the vertices labelled k;
+    like every view, it is derived from the labels on each read.
     `sort_key()` and `<` read, in place of each field `_views` names,
     the view it names (the parts, a partial injection's pairs, an
     oriented value's arrows), so that values sort as those views do.
     """
 
-    __slots__ = ("n", "m", "_hash", "_labels", "_parts")
+    __slots__ = ("n", "m", "_hash", "_labels")
     _fields = ("n", "m", "_labels")
     _views = {"_labels": "parts"}
 
@@ -153,21 +154,12 @@ class Diagram:
 
     @property
     def parts(self):
-        """Derived from the labels on first read and kept on the value;
-        the constructors of matchings and partitions and enumeration
-        keep the parts they built."""
-        try:
-            return self._parts
-        except AttributeError:
-            n, parts = self.n, {}
-            for k, label in enumerate(self._labels):
-                parts.setdefault(label, []).append((BOTTOM, k + 1) if k < n else (TOP, k + 1 - n))
-            _keep_parts(self, tuple(map(tuple, parts.values())))
-            return self._parts
-
-
-# keeps the parts a constructor has built as the value's parts view
-_keep_parts = Diagram._parts.__set__
+        """Derived from the labels on each read: the labels number the
+        parts by first appearance, which is their canonical order."""
+        n, parts = self.n, {}
+        for k, label in enumerate(self._labels):
+            parts.setdefault(label, []).append((BOTTOM, k + 1) if k < n else (TOP, k + 1 - n))
+        return tuple(map(tuple, parts.values()))
 
 
 def _labels_of(n, m, parts, exc=NotAMatching, twice="used twice"):
@@ -192,7 +184,6 @@ def _labels_of(n, m, parts, exc=NotAMatching, twice="used twice"):
 
 def _matching(n, m, edges):
     """The canonical edges of a perfect matching on [n] and [m], and its labels."""
-    check_nonnegative("row size", n, m)
     edges = tuple(sorted(_canon_edge(tuple(e)) for e in edges))
     labels = _labels_of(n, m, edges)
     unmatched = None in labels and vertex_text(_vertex(n, labels.index(None)))
@@ -217,9 +208,8 @@ class BrauerDiagram(Diagram):
     edges = Diagram.parts
 
     def __init__(self, n, m, edges):
-        edges, labels = _matching(n, m, edges)
-        super().__init__(n, m, labels)
-        _keep_parts(self, edges)
+        n, m = check_nonnegative("row size", n, m)
+        super().__init__(n, m, _matching(n, m, edges)[1])
 
     def _ends(self):
         """Each edge as (first end, separator, second end), in the order
@@ -292,7 +282,7 @@ class SignedBrauerDiagram(BrauerDiagram):
                 ends = None
             if ends is None or sorted(ends) != [e for e in self.parts if e[0][0] == e[1][0]]:
                 raise NotAMatching("arrows must orient exactly the horizontal edges")
-            labels = self._labels
+            n, labels = self.n, self._labels
             flips = tuple(sorted([labels[i - 1 if row == BOTTOM else n + i - 1] for row, i in tails]))
         _set_flips(self, flips)
 
@@ -350,12 +340,9 @@ class WalledBrauerDiagram(BrauerDiagram):
     m = property(lambda self: sum(self.top_colors))
 
     def __init__(self, bottom, top, edges):
-        n1, n2 = bottom
-        m1, m2 = top
-        check_nonnegative("color count", n1, n2, m1, m2)
-        edges, labels = _matching(n1 + n2, m1 + m2, edges)
-        Diagram.__init__(self, (n1, n2), (m1, m2), labels)
-        _keep_parts(self, edges)
+        bottom, top = _color_counts(bottom), _color_counts(top)
+        edges, labels = _matching(sum(bottom), sum(top), edges)
+        Diagram.__init__(self, bottom, top, labels)
         for a, b in edges:
             if (a[0] == b[0]) == (self.color(a) == self.color(b)):
                 kind, colors = ("horizontal", "equal") if a[0] == b[0] else ("vertical", "different")
@@ -386,7 +373,7 @@ class PartitionDiagram(Diagram):
     blocks = Diagram.parts
 
     def __init__(self, n, m, blocks):
-        check_nonnegative("row size", n, m)
+        n, m = check_nonnegative("row size", n, m)
         blocks = tuple(
             sorted(tuple(sorted(set(map(tuple, b)))) for b in blocks)
         )
@@ -396,7 +383,6 @@ class PartitionDiagram(Diagram):
         if None in labels:
             raise NotAPartition("blocks do not cover all vertices")
         super().__init__(n, m, tuple(labels))
-        _keep_parts(self, blocks)
 
     def to_text(self):
         body = "".join(
@@ -434,7 +420,7 @@ class PartialInjection(Diagram):
     _views = {"_labels": "pairs"}
 
     def __init__(self, n, m, pairs):
-        check_nonnegative("row size", n, m)
+        n, m = check_nonnegative("row size", n, m)
         pairs = tuple(sorted((int(a), int(b)) for a, b in pairs))
         for a, b in pairs:
             if not (1 <= a <= n and 1 <= b <= m):
@@ -676,9 +662,9 @@ def enumerate_diagrams(variant, bottom, top):
             found = [tuple(sorted(map(_canon_edge, zip(ends, p)))) for p in permutations(others)]
     else:
         found = _matchings(points)
-    # the values share their rows, so they sort as their parts do; each
-    # keeps the parts it was built from, whose labels need no checking:
-    # vertex (row, i) sits at i - 1 + n * row, as BOTTOM is 0 and TOP 1
+    # the values share their rows, so they sort as their parts do, and
+    # the labels of canonical parts need no checking: vertex (row, i)
+    # sits at i - 1 + n * row, as BOTTOM is 0 and TOP 1
     out = []
     for parts in sorted(found):
         labels = [0] * (n + m)
@@ -686,7 +672,6 @@ def enumerate_diagrams(variant, bottom, top):
             for row, i in part:
                 labels[i - 1 + n * row] = label
         out.append(cls._trusted(bottom, top, tuple(labels)))
-        _keep_parts(out[-1], parts)
     return out
 
 
@@ -701,7 +686,10 @@ def _injections(k, m):
 def identity_diagram(variant, size):
     """id on the object [size] (a color pair for the walled variant)."""
     cls = variant_class(variant)
+    if cls is WalledBrauerDiagram:
+        total = sum(_color_counts(size))
+    else:
+        [total] = check_nonnegative("row size", size)
     if cls is PartialInjection:
-        return cls(size, size, [(i, i) for i in range(1, size + 1)])
-    total = sum(size) if cls is WalledBrauerDiagram else size
+        return cls(size, size, [(i, i) for i in range(1, total + 1)])
     return cls(size, size, [((BOTTOM, i), (TOP, i)) for i in range(1, total + 1)])

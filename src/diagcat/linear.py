@@ -411,4 +411,6 @@ def check_triangular_axioms(variant, max_size):
 
 
 def _is_bijection_diagram(d):
-    return all(len(p) == 2 and p[0][0] != p[1][0] for p in d.parts)
+    # each part is one bottom and one top vertex: bottom labels 0..n-1, each once on top
+    n, labels = d.n, d.labels()
+    return labels[:n] == tuple(range(n)) and sorted(labels[n:]) == list(range(n))

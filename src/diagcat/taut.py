@@ -15,6 +15,7 @@ byte for byte, never by hash.
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from numbers import Rational
 
 from .algebra import _hom_size, composition_table, hom_basis
 from .diagrams import (
@@ -29,6 +30,7 @@ from .diagrams import (
 from .errors import (
     DimensionBudgetExceeded,
     InvalidParameter,
+    ShapeMismatch,
     UnsupportedVariant,
     VariantMismatch,
 )
@@ -47,8 +49,10 @@ class TautContext:
     """Parameters of a tautological functor.
 
     dim is the underlying space dimension (per color for walled, even
-    for signed); the loop parameter is dim except for the planar
-    variant, where it is -q - 1/q for a chosen nonzero rational q.
+    for signed), a non-negative integral number read as an int; the
+    loop parameter is dim except for the planar variant, where it is
+    -q - 1/q for a chosen nonzero rational q (an int or a Fraction).
+    Any other dim or q is refused up front with `InvalidParameter`.
 
     cap and cup are the forms a bottom-only and a top-only part
     evaluate: dicts from the labels of the part's vertices, in order,
@@ -64,6 +68,8 @@ class TautContext:
             raise UnsupportedVariant.of("the tautological functor", variant, TAUT_VARIANTS)
         cap = cup = None
         if variant == "temperley_lieb":
+            if not isinstance(q, Rational | None):
+                raise InvalidParameter(f"q {q!r} is not a rational number")
             q = Fraction(q if q is not None else 1)
             if q == 0:
                 raise InvalidParameter("q must be nonzero")
@@ -72,8 +78,10 @@ class TautContext:
             cap = {(0, 1): -1 / q, (1, 0): 1}
             cup = {(0, 1): 1, (1, 0): -q}
         else:
-            if dim is None or dim < 0:
-                raise InvalidParameter("dim must be a non-negative integer")
+            try:
+                [dim] = check_nonnegative("dim", dim)
+            except ShapeMismatch:
+                raise InvalidParameter("dim must be a non-negative integer") from None
             if variant == "signed":
                 if dim % 2 != 0:
                     raise InvalidParameter("the oriented variant needs even dimension")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -161,6 +162,41 @@ def test_sizes_are_judged_by_value(variant):
             enumerate_diagrams(variant, bottom, top)
     for d in enumerate_diagrams(variant, *(((1.0, 1), (1, 1)) if variant == "walled" else (2.0, 2))):
         assert all(type(size) is int for size in (d.n, d.m))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_constructors_read_sizes_by_value(variant):
+    # the validating constructors and identity_diagram read a size as
+    # enumeration does: an integral number is that int, and a size of
+    # the wrong shape is refused as such, never with a TypeError
+    if variant == "walled":
+        size, exact, bad = (1.0, True), (1, 1), [2, (1, 0, 0), (1.5, 0), ("1", 0)]
+    else:
+        size, exact, bad = 2.0, 2, [2.5, "2", (1, 0), None]
+    ids = [(i, i) if variant == "fisharp" else (b(i), t(i)) for i in (1, 2)]
+    d = identity_diagram(variant, size)
+    assert d == identity_diagram(variant, exact) == make_diagram(variant, size, exact, ids)
+    rows = (*d.bottom, *d.top) if variant == "walled" else (d.n, d.m)
+    assert all(type(x) is int for x in rows)
+    for shape in bad:
+        with pytest.raises(ShapeMismatch, match="is not an integer$|^a walled row is a pair"):
+            identity_diagram(variant, shape)
+        with pytest.raises(ShapeMismatch, match="is not an integer$|^a walled row is a pair"):
+            make_diagram(variant, shape, exact, [])
+
+
+def test_enumerated_values_hold_only_their_labels():
+    # a value holds its rows and labels; the parts are derived on each
+    # read, never kept, so a held hom basis is about its labels' size
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = enumerate_diagrams("temperley_lieb", 9, 9)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 4862
+    assert held / len(ds) < 600
 
 
 class TestPredicates:

@@ -427,6 +427,16 @@ class TestAxioms:
         # one-dimensional endomorphism spaces
         assert rep["t1"]["pass"]
 
+    @pytest.mark.parametrize("variant", ["brauer", "partition", "temperley_lieb"])
+    def test_bijections_read_off_the_labels(self, variant):
+        # (T1)'s labels test agrees with the parts view on every diagram
+        # of up to six vertices, in spaces of equal and unequal sizes
+        for n in range(4):
+            for m in range(4):
+                for d in enumerate_diagrams(variant, n, m):
+                    by_parts = all(len(p) == 2 and p[0][0] != p[1][0] for p in d.parts)
+                    assert linear._is_bijection_diagram(d) == by_parts, d
+
     def test_failing_up_down_pair_is_reported(self, monkeypatch):
         # the cup after the cap is made to close a loop: (c) and (d) fail,
         # and of the (T3) reports only Hom([2], [2])'s, where that pair

@@ -11,7 +11,7 @@ import pytest
 import diagcat
 from diagcat import enumerate_diagrams, identity_diagram, make_diagram, transpose
 from diagcat.algebra import build_algebra, composition_table, hom_basis
-from diagcat.errors import DimensionBudgetExceeded, VariantMismatch
+from diagcat.errors import DimensionBudgetExceeded, InvalidParameter, VariantMismatch
 from diagcat.taut import (
     TAUT_VARIANTS,
     RationalMatrix,
@@ -230,6 +230,24 @@ class TestTemperleyLieb:
             prod = matmul(taut_matrix(ctx, cap), taut_matrix(ctx, cup))
             assert prod.entries == [[-q - 1 / q]]
             assert ctx.parameter == -q - 1 / q
+
+
+class TestContextParameters:
+    def test_integral_dim_reads_as_int(self):
+        ctx = TautContext("brauer", dim=2.0)
+        assert type(ctx.dim) is int and ctx.parameter == 2
+        assert taut_matrix(ctx, identity_diagram("brauer", 1)).entries == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("dim", [2.5, "2", None, -1, float("inf")])
+    def test_dim_that_is_no_count_is_refused(self, dim):
+        for variant in ("brauer", "partition", "walled", "signed"):
+            with pytest.raises(InvalidParameter, match="^dim must be a non-negative integer$"):
+                TautContext(variant, dim=dim)
+
+    @pytest.mark.parametrize("q", ["x", "1/2", 0.5, 2.0])
+    def test_q_that_is_no_rational_is_refused(self, q):
+        with pytest.raises(InvalidParameter, match="is not a rational number$"):
+            TautContext("temperley_lieb", q=q)
 
 
 class TestRationalMatrix:
