@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import permutations, zip_longest
 from math import factorial
 
-from .diagrams import check_nonnegative, enumerate_diagrams, renumbered
+from .diagrams import as_int, check_nonnegative, enumerate_diagrams, renumbered
 from .errors import NotAnIntegerPartition, SizeMismatch
 
 
@@ -47,12 +47,8 @@ def check_partition(parts):
     rising = False
     for p in parts:
         if p != 0:
-            try:
-                q = int(p)
-                integral = q == p
-            except (TypeError, ValueError, OverflowError):
-                integral = False
-            if not integral:
+            q = as_int(p)
+            if q is None:
                 raise NotAnIntegerPartition(f"parts must be integers: {p!r}")
             p = q
             if out and p > out[-1]:
@@ -84,16 +80,18 @@ def _partition(parts):
 def partitions_of(n):
     """All partitions of n in reverse lexicographic order."""
     [n] = check_nonnegative("partition size", n)
+    return list(_capped_partitions(n, n))
 
-    def gen(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
 
-    return list(gen(n, n))
+def _capped_partitions(remaining, cap):
+    """The partitions of `remaining` with no part above `cap`, in
+    reverse lexicographic order."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, cap), 0, -1):
+        for rest in _capped_partitions(remaining - first, first):
+            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
@@ -128,26 +126,24 @@ def dim_specht(lam):
 def standard_tableaux(lam):
     """Brute-force enumeration of standard Young tableaux (test oracle)."""
     lam = check_partition(lam)
-    n = sum(lam)
-    rows = len(lam)
-    filled = [[None] * r for r in lam]
+    return list(_place(sum(lam), [[None] * r for r in lam], 1))
 
-    def place(k):
-        if k > n:
-            yield [tuple(r) for r in filled]
-            return
-        for i in range(rows):
-            row = filled[i]
-            j = next((c for c, v in enumerate(row) if v is None), None)
-            if j is None:
-                continue
-            if i > 0 and filled[i - 1][j] is None:
-                continue
-            row[j] = k
-            yield from place(k + 1)
-            row[j] = None
 
-    return list(place(1))
+def _place(n, filled, k):
+    """Each standard filling of the rows `filled` that places k..n in
+    their empty cells, the rest already placed."""
+    if k > n:
+        yield [tuple(r) for r in filled]
+        return
+    for i, row in enumerate(filled):
+        j = next((c for c, v in enumerate(row) if v is None), None)
+        if j is None:
+            continue
+        if i > 0 and filled[i - 1][j] is None:
+            continue
+        row[j] = k
+        yield from _place(n, filled, k + 1)
+        row[j] = None
 
 
 def sym_character(lam, mu):

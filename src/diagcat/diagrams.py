@@ -1,10 +1,11 @@
 """Diagram construction, validation, enumeration and structural predicates.
 
 Vertices are pairs (row, index) with row 0 = bottom, row 1 = top and the
-index 1-based within its row. Only skeletal objects are representable:
-the rows are [n] and [m] (with a color split for the walled variant).
-All diagram values are immutable and stored in canonical form, so that
-equality, hashing and enumeration order are purely structural.
+index 1-based within its row; an entry is read by value, so (0, 1.0) is
+b1. Only skeletal objects are representable: the rows are [n] and [m]
+(with a color split for the walled variant). All diagram values are
+immutable and stored in canonical form, so that equality, hashing and
+enumeration order are purely structural.
 
 Every value is a set partition of its two rows: a matching into its
 edges, a partition into its blocks, a partial injection into the pairs
@@ -17,6 +18,11 @@ orientation. The nested parts (a matching's `edges`, a partition's
 `blocks`), a partial injection's `pairs` and an oriented value's
 `arrows` are views, derived from the labels on each read and never
 stored. Sorting follows these views.
+
+Enumeration builds no view and checks nothing: the generators work on
+positions, position k being the k-th vertex of b1..bn, t1..tm, and their
+parts of positions are filled straight into labels; a partial
+injection's pairs go through the labels routine its constructor uses.
 """
 
 from itertools import combinations, count, permutations
@@ -46,25 +52,43 @@ def _vertex(n, k):
     return (BOTTOM, k + 1) if k < n else (TOP, k + 1 - n)
 
 
+def as_int(x):
+    """An integral number as that int, judged by value; None for anything
+    else."""
+    if type(x) is int:
+        return x
+    try:
+        value = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return value if value == x else None
+
+
 def check_nonnegative(what, *sizes):
     """The row sizes, color counts or sweep sizes as ints, judged by
-    value: an integral number is that int. Anything else, or a negative
-    size, is refused up front."""
+    value. Anything else, or a negative size, is refused up front."""
     out = []
     for size in sizes:
-        if type(size) is not int:
-            try:
-                value = int(size)
-                integral = value == size
-            except (TypeError, ValueError, OverflowError):
-                integral = False
-            if not integral:
-                raise ShapeMismatch(f"{what} {size!r} is not an integer")
-            size = value
-        if size < 0:
-            raise ShapeMismatch(f"{what} {size} is negative")
-        out.append(size)
+        value = as_int(size)
+        if value is None:
+            raise ShapeMismatch(f"{what} {size!r} is not an integer")
+        if value < 0:
+            raise ShapeMismatch(f"{what} {value} is negative")
+        out.append(value)
     return out
+
+
+def _int_pair(entry, exc, what):
+    """A vertex (row, index) or a pair (a, b) as two ints, each judged by
+    value; anything else is refused with `exc`."""
+    try:
+        x, y = entry
+    except (TypeError, ValueError):
+        x = y = None
+    x, y = as_int(x), as_int(y)
+    if x is None or y is None:
+        raise exc(f"{what} {entry!r} is not a pair of integers")
+    return x, y
 
 
 def _color_counts(row):
@@ -184,7 +208,9 @@ def _labels_of(n, m, parts, exc=NotAMatching, twice="used twice"):
 
 def _matching(n, m, edges):
     """The canonical edges of a perfect matching on [n] and [m], and its labels."""
-    edges = tuple(sorted(_canon_edge(tuple(e)) for e in edges))
+    edges = tuple(sorted(
+        _canon_edge([_int_pair(v, NotAMatching, "vertex") for v in e]) for e in edges
+    ))
     labels = _labels_of(n, m, edges)
     unmatched = None in labels and vertex_text(_vertex(n, labels.index(None)))
     if (n + m) % 2 != 0:
@@ -274,7 +300,8 @@ class SignedBrauerDiagram(BrauerDiagram):
             # left end of a top one
             ends, tails = [], []
             try:
-                for tail, head in arrows:
+                for arrow in arrows:
+                    tail, head = [_int_pair(v, NotAMatching, "vertex") for v in arrow]
                     ends.append((tail, head) if tail < head else (head, tail))
                     if (tail < head) == (tail[0] == TOP):
                         tails.append(tail)
@@ -375,7 +402,7 @@ class PartitionDiagram(Diagram):
     def __init__(self, n, m, blocks):
         n, m = check_nonnegative("row size", n, m)
         blocks = tuple(
-            sorted(tuple(sorted(set(map(tuple, b)))) for b in blocks)
+            sorted(tuple(sorted({_int_pair(v, NotAPartition, "vertex") for v in b})) for b in blocks)
         )
         if any(not b for b in blocks):
             raise NotAPartition("empty block")
@@ -421,7 +448,7 @@ class PartialInjection(Diagram):
 
     def __init__(self, n, m, pairs):
         n, m = check_nonnegative("row size", n, m)
-        pairs = tuple(sorted((int(a), int(b)) for a, b in pairs))
+        pairs = sorted(_int_pair(p, NotInjective, "pair") for p in pairs)
         for a, b in pairs:
             if not (1 <= a <= n and 1 <= b <= m):
                 raise NotInjective(f"pair b{a}->t{b} out of range")
@@ -431,10 +458,7 @@ class PartialInjection(Diagram):
             raise NotInjective("repeated source vertex")
         if len(set(img)) != len(img):
             raise NotInjective("repeated target vertex")
-        # b_a is part a - 1 and t_b joins it; an unmapped t_b starts a part
-        source, fresh = dict(zip(img, dom)), count(n)
-        labels = [*range(n)] + [source[b] - 1 if b in source else next(fresh) for b in range(1, m + 1)]
-        super().__init__(n, m, tuple(labels))
+        super().__init__(n, m, _injection_labels(n, m, pairs))
 
     @property
     def pairs(self):
@@ -454,6 +478,14 @@ class PartialInjection(Diagram):
             "top": self.m,
             "pairs": [[f"b{a}", f"t{b}"] for a, b in self.pairs],
         }
+
+
+def _injection_labels(n, m, pairs):
+    """The labels of the partial injection mapping b_a to t_b for each
+    (a, b) in `pairs`: b_a is part a - 1 and t_b joins it; an unmapped
+    t_b starts a part."""
+    source, fresh = {b: a - 1 for a, b in pairs}, count(n)
+    return (*range(n), *[source[b] if b in source else next(fresh) for b in range(1, m + 1)])
 
 
 # the class of each variant, in the order the CLI lists them
@@ -481,7 +513,7 @@ def make_diagram(variant, bottom, top, data):
     """Validate and build the canonical diagram of the given variant."""
     cls = variant_class(variant)
     if cls is SignedBrauerDiagram:
-        edges = [tuple(e) for e in data]
+        edges = [tuple(_int_pair(v, NotAMatching, "vertex") for v in e) for e in data]
         arrows = [e for e in edges if e[0][0] == e[1][0]]
         return cls(bottom, top, edges, arrows)
     return cls(bottom, top, data)
@@ -569,63 +601,64 @@ def disjoint_union(d1, d2):
     return type(d1)._trusted(n + n2, m + d2.m, labels)
 
 
-def _matchings(points):
-    """The perfect matchings of the points, each a tuple of its edges;
-    for sorted points, the edges of each are canonical and sorted.
-
-    The first free point is matched with each later free point in turn.
-    The free points stay in one list: a partner is taken out while the
-    rest are matched, then put back, so no level copies the list.
-    """
-    out = []
-    edges = []
-    free = list(points)
-
-    def match():
-        if not free:
-            out.append(tuple(edges))
-            return
-        first = free.pop(0)
-        for idx in range(len(free)):
-            edges.append((first, free.pop(idx)))
-            match()
-            free.insert(idx, edges.pop()[1])
-        free.insert(0, first)
-
-    match()
-    return out
-
-
-def _noncrossing(points):
-    """Noncrossing perfect matchings of points listed in circular order.
-
-    The first point pairs with a point at odd distance, which leaves an
-    even number of points on each side of that edge; the two sides are
-    then matched independently (Knuth, TAOCP 4A, 7.2.1.6).
-    """
-    if not points:
-        yield []
+def _matchings(free, edges, out):
+    """Append to `out` each perfect matching of the free points, added
+    to `edges`, its edges canonical and sorted for sorted points. The
+    first free point is matched with each later one in turn, taken out
+    of the one list while the rest are matched and then put back, so no
+    level copies the list."""
+    if not free:
+        out.append(tuple(edges))
         return
-    first = points[0]
-    for idx in range(1, len(points), 2):
-        for inner in _noncrossing(points[1:idx]):
-            for outer in _noncrossing(points[idx + 1 :]):
-                yield [(first, points[idx])] + inner + outer
+    first = free.pop(0)
+    for idx in range(len(free)):
+        edges.append((first, free.pop(idx)))
+        _matchings(free, edges, out)
+        free.insert(idx, edges.pop()[1])
+    free.insert(0, first)
+
+
+def _noncrossing(points, k, opened, edges, out):
+    """Append to `out` each noncrossing perfect matching of the points,
+    listed in circular order, as its sorted canonical edges. Read as a
+    Dyck word (Knuth, TAOCP 4A, 7.2.1.6), each point from k on opens an
+    edge or closes the innermost one in `opened`."""
+    if k == len(points):
+        out.append(tuple(sorted(edges)))
+        return
+    p = points[k]
+    if len(opened) < len(points) - k - 1:  # the later points can close it
+        opened.append(p)
+        _noncrossing(points, k + 1, opened, edges, out)
+        opened.pop()
+    if opened:
+        a = opened.pop()
+        edges.append((a, p) if a < p else (p, a))
+        _noncrossing(points, k + 1, opened, edges, out)
+        edges.pop()
+        opened.append(a)
 
 
 def _set_partitions(points):
+    """The set partitions of sorted points, each as its sorted blocks."""
     if not points:
-        yield []
+        yield ()
         return
     first, rest = points[0], points[1:]
     for sub in _set_partitions(rest):
-        yield [[first]] + sub
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
+        yield ((first,), *sub)
+        for i, block in enumerate(sub):
+            yield ((first, *block), *sub[:i], *sub[i + 1 :])
 
 
 def enumerate_diagrams(variant, bottom, top):
-    """All canonical diagrams of the hom space, in sorted order."""
+    """All canonical diagrams of the hom space, in sorted order.
+
+    The generators work on positions, position k being the k-th vertex
+    of b1..bn, t1..tm. Ints sort as the vertices do, so the values sort
+    as their parts of positions do, and a part lists where its label
+    goes. Partial injections sort as their pairs do instead.
+    """
     cls = variant_class(variant)
     walled = cls is WalledBrauerDiagram
     if walled:
@@ -633,54 +666,39 @@ def enumerate_diagrams(variant, bottom, top):
         n, m = sum(bottom), sum(top)
     else:
         bottom, top = n, m = check_nonnegative("row size", bottom, top)
-    points = [(BOTTOM, i) for i in range(1, n + 1)] + [
-        (TOP, i) for i in range(1, m + 1)
-    ]
-    found = []
-    if issubclass(cls, PartitionDiagram):
-        found = [tuple(sorted(map(tuple, blocks))) for blocks in _set_partitions(points)]
-    elif cls is PartialInjection:
+    if cls is PartialInjection:
         found = sorted(
             tuple(zip(dom, img))
             for k in range(min(n, m) + 1)
             for dom in combinations(range(1, n + 1), k)
-            for img in _injections(k, m)
+            for img in permutations(range(1, m + 1), k)
         )
-        return [cls(n, m, pairs) for pairs in found]
-    elif (n + m) % 2:  # no matching on an odd number of points
+        return [cls._trusted(n, m, _injection_labels(n, m, pairs)) for pairs in found]
+    size, found = n + m, []
+    if issubclass(cls, PartitionDiagram):
+        found = list(_set_partitions(range(size)))
+    elif size % 2:  # no matching on an odd number of points
         pass
     elif cls is TemperleyLiebDiagram:
-        # the points in the order b1 < ... < bn < tm < ... < t1
-        for edges in _noncrossing(points[:n] + points[n:][::-1]):
-            found.append(tuple(sorted(map(_canon_edge, edges))))
+        # the order b1 < ... < bn < tm < ... < t1
+        _noncrossing([*range(n), *range(size - 1, n - 1, -1)], 0, [], [], found)
     elif walled:
         # every edge joins a vertex of one class, the color-1 vertices of
         # the bottom row and the color-2 ones of the top, to one of the other
         b1, t1 = bottom[0], top[0]
-        ends, others = points[:b1] + points[n + t1 :], points[b1 : n + t1]
+        ends, others = [*range(b1), *range(n + t1, size)], range(b1, n + t1)
         if len(ends) == len(others):
             found = [tuple(sorted(map(_canon_edge, zip(ends, p)))) for p in permutations(others)]
     else:
-        found = _matchings(points)
-    # the values share their rows, so they sort as their parts do, and
-    # the labels of canonical parts need no checking: vertex (row, i)
-    # sits at i - 1 + n * row, as BOTTOM is 0 and TOP 1
+        _matchings(list(range(size)), [], found)
     out = []
     for parts in sorted(found):
-        labels = [0] * (n + m)
+        labels = [0] * size
         for label, part in enumerate(parts):
-            for row, i in part:
-                labels[i - 1 + n * row] = label
+            for k in part:
+                labels[k] = label
         out.append(cls._trusted(bottom, top, tuple(labels)))
     return out
-
-
-def _injections(k, m):
-    if k == 0:
-        yield ()
-        return
-    for img in combinations(range(1, m + 1), k):
-        yield from permutations(img)
 
 
 def identity_diagram(variant, size):

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from itertools import product
@@ -185,18 +186,72 @@ def test_constructors_read_sizes_by_value(variant):
             make_diagram(variant, shape, exact, [])
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_entries_are_judged_by_value(variant):
+    # a vertex or a pair entry is read as a size is: an integral number
+    # is that int, and anything else is refused with the family's typed
+    # error, never truncated and never a bare TypeError
+    exc = {"fisharp": NotInjective, "partition": NotAPartition, "degenerate": NotAPartition}
+    exc = exc.get(variant, NotAMatching)
+    rows = ((1, 1), (1, 1)) if variant == "walled" else (2, 2)
+
+    def build(first):
+        # the identity, with `first` in place of b1, or of the pair (1, 1)
+        if variant == "fisharp":
+            return make_diagram(variant, *rows, [first])
+        data = [(first, t(1)), (b(2), t(2))]
+        if variant in ("partition", "degenerate"):
+            data = [list(e) for e in data]
+        return make_diagram(variant, *rows, data)
+
+    lead = 1 if variant == "fisharp" else 0
+    assert build((lead, 1)) == build((float(lead), 1.0)) == build((lead, True))
+    bad = [(lead, 1.5), (lead, "1"), (lead, None), (lead, float("inf")), (lead, float("nan"))]
+    for entry in bad + [(1.5, 1), (lead,), "b1", None]:
+        with pytest.raises(exc, match="is not a pair of integers$"):
+            build(entry)
+    if variant == "signed":
+        cup = [(b(1), b(2))]
+        assert SignedBrauerDiagram(2, 0, cup, [((0, 2.0), (0, 1))]).flips == (0,)
+        with pytest.raises(NotAMatching, match="is not a pair of integers$"):
+            SignedBrauerDiagram(2, 0, cup, [((0, 2.5), (0, 1))])
+
+
 def test_enumerated_values_hold_only_their_labels():
     # a value holds its rows and labels; the parts are derived on each
-    # read, never kept, so a held hom basis is about its labels' size
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        ds = enumerate_diagrams("temperley_lieb", 9, 9)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert len(ds) == 4862
-    assert held / len(ds) < 600
+    # read, never kept, so a held hom basis is about its labels' size.
+    # The collector is paused, so garbage that only it would free, such
+    # as the cycle of a closure that calls itself, counts as held.
+    for variant, size, count, bound in (("temperley_lieb", 9, 4862, 600), ("brauer", 6, 10395, 320)):
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = enumerate_diagrams(variant, size, size)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert len(ds) == count
+        assert held / len(ds) < bound, variant
+        del ds
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_enumeration_runs_no_validating_constructor(variant, monkeypatch):
+    # every enumerated value is built unchecked, through _trusted
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} validated an enumerated value")
+
+    for cls in set(map(variant_class, VARIANTS)):
+        if "__init__" in vars(cls):
+            monkeypatch.setattr(cls, "__init__", refuse)
+    rows = ((2, 1), (2, 1)) if variant == "walled" else (3, 3)
+    ds = enumerate_diagrams(variant, *rows)
+    assert ds and all(type(d) is variant_class(variant) for d in ds)
 
 
 class TestPredicates:
@@ -310,6 +365,10 @@ class TestCounts:
             ("partition", 2, 2),
             ("degenerate", 2, 2),
             ("fisharp", 2, 3),
+            ("fisharp", 3, 3),
+            ("walled", (2, 2), (2, 2)),
+            ("temperley_lieb", 4, 4),
+            ("partition", 3, 2),
         ],
     )
     def test_identity_layer(self, variant, bottom, top):
