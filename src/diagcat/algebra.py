@@ -10,7 +10,7 @@ from math import comb, factorial, inf, lcm
 from operator import mul
 
 from .coeff import DeltaPoly, _reduced, int_exact_div, int_mul, int_sub, rational_roots
-from .compose import _glued, _merge, epsilon_sign
+from .compose import _merge, epsilon_sign
 from .diagrams import check_nonnegative, enumerate_diagrams, renumbered
 from .errors import DimensionBudgetExceeded, UnsupportedVariant
 
@@ -87,6 +87,27 @@ def _hom_size(variant, x, y, budget=inf):
     return count
 
 
+# The pairs a check may compose, counted by each caller (2 CPUs, Python
+# 3.11.7, cold). verify_t3 took 0.05-0.08 s on partition 4 -> 4 (99,360
+# down-after-up pairs, criterion 3's largest), 0.8-1.2 s on
+# temperley_lieb 11 -> 11 (58,786) and 0.28-0.45 s on partition 5 -> 4
+# (507,528). The walled taut sweep to size 5 (123,483 pairs) took 3.6 s
+# at dim 2, while brauer size 5 (1,165,230) took 17.7 s at dim 1 and
+# temperley_lieb size 7 (464,174) did not finish in 300 s.
+PAIR_BUDGET = 200_000
+
+
+def _check_pair_budget(counts):
+    """Refuse a check of more than PAIR_BUDGET pairs before any basis is
+    built. `counts` yields (size, pairs), the sizes counted upwards; the
+    first count past the budget stops it, so no larger size is counted."""
+    for size, pairs in counts:
+        if pairs > PAIR_BUDGET:
+            raise DimensionBudgetExceeded(
+                f"{pairs} pairs up to size {size} exceed the pair budget {PAIR_BUDGET}"
+            )
+
+
 def _dimension(variant, n):
     """The dimension of the algebra on [n], counted before any basis is
     enumerated; past BASIS_BUDGET it is refused."""
@@ -104,15 +125,14 @@ def hom_basis(variant, x, y):
 
 @lru_cache(maxsize=None)
 def _basis_index(variant, x, y):
-    """index[bottom][top] = (k, epsilon sign) of hom_basis(variant, x,
-    y)[k], whose labels are bottom + top: the labels of its bottom row,
+    """index[bottom][top] = k with hom_basis(variant, x, y)[k] the
+    diagram whose labels are bottom + top: the labels of its bottom row,
     then those of its top row. `_products` finds each composite in it,
     and `_transpose_map` each transpose."""
-    eps = epsilon_sign if variant == "signed" else lambda d: 1
     index = {}
     for k, d in enumerate(hom_basis(variant, x, y)):
         labels, n = d._labels, d.n
-        index.setdefault(labels[:n], {})[labels[n:]] = (k, eps(d))
+        index.setdefault(labels[:n], {})[labels[n:]] = k
     return index
 
 
@@ -131,7 +151,7 @@ def _transpose_map(variant, x, y):
         n, labels = d.n, d._labels
         m = len(labels) - n
         mirror = renumbered(labels[n:] + labels[:n])
-        out.append(index[mirror[:m]][mirror[m:]][0])
+        out.append(index[mirror[:m]][mirror[m:]])
     return tuple(out)
 
 
@@ -145,31 +165,42 @@ def composition_table(variant, x, y, z):
     table with x > z is read off the table of (z, y, x): with tA, tB and
     tC the transpose maps of Hom(x, y), Hom(y, z) and Hom(z, x), entry
     [i][j] is entry [tA[j]][tB[i]] of that table, with its k sent
-    through tC. The signed tables compute every pair: transpose is not
-    defined on oriented values, and their tables are tiny. The algebra
-    on [n] and every tautological sweep through the triple read the
-    same table.
+    through tC. A signed table reads the brauer table of the triple,
+    whose bases list the same labels in the same order, through the
+    comparison functor eps to brauer at -d: entry (closed, 1, k) takes
+    the sign eps(alpha_j) * eps(beta_i) * eps(basis_k) * (-1)**closed.
+    The algebra on [n] and every tautological sweep through the triple
+    read the same table.
     """
     if variant not in _TABLE_VARIANTS:
         raise UnsupportedVariant.of("the composition table", variant, _TABLE_VARIANTS)
     alphas, betas = hom_basis(variant, x, y), hom_basis(variant, y, z)
     if not alphas or not betas:
         return ((),) * len(betas)
-    if variant != "signed" and x > z:
+    if variant == "signed":
+        eps = [epsilon_sign(d) for d in hom_basis(variant, x, z)]
+        alpha_eps = [epsilon_sign(a) for a in alphas]
+        entries, rows = {}, []
+        for beta, row in zip(betas, composition_table("brauer", x, y, z)):
+            b = epsilon_sign(beta)
+            signed = [(c, (-b if c % 2 else b) * a * eps[k], k) for a, (c, _, k) in zip(alpha_eps, row)]
+            rows.append(tuple([entries.setdefault(e, e) for e in signed]))
+        return tuple(rows)
+    if x > z:
         tA, tB = _transpose_map(variant, x, y), _transpose_map(variant, y, z)
         tC = _transpose_map(variant, z, x)
         transposed = composition_table(variant, z, y, x)
         mirror = {e: (e[0], e[1], tC[e[2]]) for e in set().union(*transposed)}
         return tuple(tuple([mirror[transposed[t][s]] for t in tA]) for s in tB)
-    return _products(variant, alphas, betas, _basis_index(variant, x, z))
+    return _products(alphas, betas, _basis_index(variant, x, z))
 
 
-def _products(variant, alphas, betas, index):
-    """rows[i][j] = (closed, sign, k): betas[i] after alphas[j] is
-    d^closed * sign * the diagram at k of `index`, the `_basis_index` of
-    the hom space of the composites. The alphas and betas are any lists
-    of one hom space each; this is the one loop that composes pairs in
-    bulk.
+def _products(alphas, betas, index):
+    """rows[i][j] = (closed, 1, k): betas[i] after alphas[j] is
+    d^closed * the diagram at k of `index`, the `_basis_index` of the
+    hom space of the composites. The 1 is the sign that the signed
+    tables fill in. The alphas and betas are any lists of one hom space
+    each; this is the one loop that composes pairs in bulk.
 
     Each composite is read as a bottom half plus a top half. The middle
     labels of a beta, those of its bottom row, are a restricted-growth
@@ -185,20 +216,17 @@ def _products(variant, alphas, betas, index):
     composite's labels on beta's top row, with the number of inner
     components it reaches. A pair then costs one lookup in the two-level
     index, and closed = inner - reached. Equal entries are one shared
-    tuple, so a table costs about one pointer per pair. Signs are as in
-    `compose`.
+    tuple, so a table costs about one pointer per pair.
     """
     if not alphas or not betas:
         return ((),) * len(betas)
-    glued = [_glued(a) for a in alphas]
-    signed = variant == "signed"
-    if signed:
-        alpha_eps = [epsilon_sign(a) for a in alphas]
+    # per alpha, once for all its merges: part count, bottom and middle labels
+    glued = [(max(a._labels, default=-1) + 1, a._labels[:a.n], a._labels[a.n:]) for a in alphas]
     mid = betas[0].n
     groups = {}
     for i, beta in enumerate(betas):
         groups.setdefault(beta._labels[:mid], []).append(i)
-    rows = [[None] * len(alphas) for _ in betas]
+    rows = [None] * len(betas)
     entries = {}
     for b_mid, members in groups.items():
         nm = max(b_mid) + 1 if b_mid else 0
@@ -240,18 +268,13 @@ def _products(variant, alphas, betas, index):
                     v = reach[v] if v < nm else nbot + v
                     top.append(v if v < nbot else first.setdefault(v, nbot + len(first)))
                 tops.append((tuple(top), len(first) - outside))
-            row = rows[i]
-            if signed:
-                beta_eps = epsilon_sign(betas[i])
-            for j, (sub, c, inner) in enumerate(halves):
+            row = []
+            for sub, c, inner in halves:
                 top, reached = tops[c]
-                closed = inner - reached
-                k, sign = sub[top]
-                if signed:
-                    sign *= alpha_eps[j] * beta_eps * (-1 if closed % 2 else 1)
-                entry = (closed, sign, k)
-                row[j] = entries.setdefault(entry, entry)
-    return tuple(map(tuple, rows))
+                entry = (inner - reached, 1, sub[top])
+                row.append(entries.setdefault(entry, entry))
+            rows[i] = tuple(row)
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)

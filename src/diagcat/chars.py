@@ -19,7 +19,8 @@ from functools import lru_cache
 from itertools import permutations, zip_longest
 from math import factorial
 
-from .diagrams import as_int, check_nonnegative, enumerate_diagrams, renumbered
+from .algebra import hom_basis
+from .diagrams import as_int, check_nonnegative, renumbered
 from .errors import NotAnIntegerPartition, SizeMismatch
 
 
@@ -388,20 +389,14 @@ def _fixed_matchings(n, m, rho):
     cycle type rho acting on the top row."""
     sigma = _permutation_of_type(rho)
     fixed = 0
-    for labels in _matching_labels(n, m):
+    for d in hom_basis("brauer", n, m):
+        labels = d.labels()
         # top vertex j moves to sigma[j - 1], taking its label along
         moved = list(labels)
         for j, label in enumerate(labels[n:]):
             moved[n + sigma[j] - 1] = label
         fixed += renumbered(moved) == labels
     return fixed
-
-
-@lru_cache(maxsize=None)
-def _matching_labels(n, m):
-    """The labels of every matching diagram [n] -> [m], enumerated once
-    for all the cycle types that _fixed_matchings counts on them."""
-    return tuple(d.labels() for d in enumerate_diagrams("brauer", n, m))
 
 
 def _permutation_of_type(rho):

@@ -9,10 +9,10 @@ degenerate partition rule, or no loops for partial injections.
 `algebra`, `_products`, which builds the composition tables and composes
 the pairs of the axiom checks, runs it once per alpha and middle row that
 a group of betas shares, and reads each composite as a bottom half plus
-a top half.
+a top half. It is sign-free: a signed table is the brauer one with the
+signs of `epsilon_sign`, a crossing parity, applied on top.
 """
 
-from .chars import cycle_type
 from .diagrams import (
     BrauerDiagram,
     DegeneratePartitionDiagram,
@@ -90,14 +90,6 @@ def _merge(na, a_mid, b_mid, parts):
     return parent, joins
 
 
-def _glued(alpha):
-    """(part count, bottom labels, middle labels) of alpha: what the
-    bulk products read of an alpha, once for all the middle rows it is
-    merged with."""
-    n, labels = alpha.n, alpha._labels
-    return max(labels) + 1 if labels else 0, labels[:n], labels[n:]
-
-
 def epsilon_sign(alpha):
     """Sign comparing the induced oriented matching to the standard one.
 
@@ -106,8 +98,9 @@ def epsilon_sign(alpha):
     former vertical edges point from smaller to larger position. The
     result is the sign of any permutation carrying the transferred
     matching to (1->2)(3->4)..., which is well defined because the
-    stabilizer of the standard oriented matching is even. Computed
-    once and kept on the value.
+    stabilizer of the standard oriented matching is even. It is the
+    Pfaffian sign of the matching, (-1)^crossings, negated once per
+    flipped arrow. Computed once and kept on the value.
     """
     if type(alpha) is not SignedBrauerDiagram:
         raise VariantMismatch(
@@ -117,20 +110,18 @@ def epsilon_sign(alpha):
         return alpha._epsilon
     except AttributeError:
         pass
-    # positions in the order b1..bn, tm..t1: the part labelled k sends
-    # its smaller position to 2k + 1 and its larger one to 2k + 2
+    # positions in the order b1..bn, tm..t1: an edge closing crosses
+    # each edge opened after it and still open
     n, labels = alpha.n, alpha._labels
-    seen = set()
-    images = []
+    parity = len(alpha.flips)
+    opened = []
     for label in labels[:n] + labels[n:][::-1]:
-        images.append(2 * label + 2 if label in seen else 2 * label + 1)
-        seen.add(label)
-    # a permutation's sign is (-1)^(length - number of cycles)
-    sign = -1 if (len(images) - len(cycle_type(images))) % 2 else 1
-    # a flipped arrow points from the larger position to the smaller,
-    # which swaps the two images of its edge, a transposition
-    if len(alpha.flips) % 2:
-        sign = -sign
+        if label in opened:
+            parity += len(opened) - 1 - opened.index(label)
+            opened.remove(label)
+        else:
+            opened.append(label)
+    sign = -1 if parity % 2 else 1
     object.__setattr__(alpha, "_epsilon", sign)
     return sign
 

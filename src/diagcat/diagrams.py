@@ -91,6 +91,25 @@ def _int_pair(entry, exc, what):
     return x, y
 
 
+def _listed(data, exc, what):
+    """The entries of `data` as a list; anything that is not iterable is
+    refused with `exc`."""
+    try:
+        return list(data)
+    except TypeError:
+        raise exc(f"{data!r} is not a list of {what}") from None
+
+
+def _edge(entry):
+    """An edge as its two vertices, in the order given; anything else is
+    refused with NotAMatching."""
+    try:
+        a, b = entry
+    except (TypeError, ValueError):
+        raise NotAMatching(f"edge {entry!r} is not a pair of vertices") from None
+    return _int_pair(a, NotAMatching, "vertex"), _int_pair(b, NotAMatching, "vertex")
+
+
 def _color_counts(row):
     """A walled row, a pair of color counts, as a tuple of ints."""
     try:
@@ -208,9 +227,7 @@ def _labels_of(n, m, parts, exc=NotAMatching, twice="used twice"):
 
 def _matching(n, m, edges):
     """The canonical edges of a perfect matching on [n] and [m], and its labels."""
-    edges = tuple(sorted(
-        _canon_edge([_int_pair(v, NotAMatching, "vertex") for v in e]) for e in edges
-    ))
+    edges = tuple(sorted(_canon_edge(_edge(e)) for e in _listed(edges, NotAMatching, "edges")))
     labels = _labels_of(n, m, edges)
     unmatched = None in labels and vertex_text(_vertex(n, labels.index(None)))
     if (n + m) % 2 != 0:
@@ -401,6 +418,7 @@ class PartitionDiagram(Diagram):
 
     def __init__(self, n, m, blocks):
         n, m = check_nonnegative("row size", n, m)
+        blocks = [_listed(b, NotAPartition, "vertices") for b in _listed(blocks, NotAPartition, "blocks")]
         blocks = tuple(
             sorted(tuple(sorted({_int_pair(v, NotAPartition, "vertex") for v in b})) for b in blocks)
         )
@@ -448,7 +466,7 @@ class PartialInjection(Diagram):
 
     def __init__(self, n, m, pairs):
         n, m = check_nonnegative("row size", n, m)
-        pairs = sorted(_int_pair(p, NotInjective, "pair") for p in pairs)
+        pairs = sorted(_int_pair(p, NotInjective, "pair") for p in _listed(pairs, NotInjective, "pairs"))
         for a, b in pairs:
             if not (1 <= a <= n and 1 <= b <= m):
                 raise NotInjective(f"pair b{a}->t{b} out of range")
@@ -513,7 +531,7 @@ def make_diagram(variant, bottom, top, data):
     """Validate and build the canonical diagram of the given variant."""
     cls = variant_class(variant)
     if cls is SignedBrauerDiagram:
-        edges = [tuple(_int_pair(v, NotAMatching, "vertex") for v in e) for e in data]
+        edges = [_edge(e) for e in _listed(data, NotAMatching, "edges")]
         arrows = [e for e in edges if e[0][0] == e[1][0]]
         return cls(bottom, top, edges, arrows)
     return cls(bottom, top, data)

@@ -5,7 +5,7 @@ and the verifiers of the triangular axioms built on top of them.
 from itertools import product
 from math import factorial
 
-from .algebra import _basis_index, _hom_size, _products, hom_basis
+from .algebra import PAIR_BUDGET, _basis_index, _check_pair_budget, _hom_size, _products, hom_basis
 from .coeff import DeltaPoly
 from .compose import compose
 from .diagrams import (
@@ -22,7 +22,7 @@ from .diagrams import (
     disjoint_union,
     variant_class,
 )
-from .errors import DimensionBudgetExceeded, ShapeMismatch, UnsupportedVariant, VariantMismatch
+from .errors import ShapeMismatch, UnsupportedVariant, VariantMismatch
 
 
 def _as_poly(c):
@@ -246,35 +246,20 @@ def factorize(d):
 
 _AXIOM_VARIANTS = ("brauer", "partition", "temperley_lieb")
 
-# Down-after-up pairs, counted as in _check_pair_budget. On 2 CPUs
-# (Python 3.11.7, cold, three runs each) verify_t3 took 0.05-0.08 s on
-# partition 4 -> 4 (99,360, criterion 3's largest), 0.02-0.03 s on
-# brauer 5 -> 5 (113,400) and 1.7-2.5 s on temperley_lieb 11 -> 11
-# (58,786, on 22 vertices, about half of it enumerating); it took
-# 0.28-0.45 s on partition 5 -> 4 (507,528) and 0.56-0.70 s on brauer
-# 6 -> 6 (7,484,400), and the axiom checks to brauer size 6 (7,647,592)
-# took 2.2 s.
-T3_PAIR_BUDGET = 200_000
-
-
 def _middle_aut_order(variant, p):
     # order of the bijection group of the middle object inside the category
     return 1 if variant == "temperley_lieb" else factorial(p)
 
 
-def _check_pair_budget(variant, spaces):
-    """Refuse, before any basis is built, hom spaces with more than
-    T3_PAIR_BUDGET down-after-up pairs in all. A diagram of Hom([n],[m])
-    through p <= min(n, m) middle vertices comes from as many pairs as
-    [p] has bijections, which bounds the pairs. The count stops at the
-    first space past the budget, so none larger is counted."""
+def _t3_pairs(variant, spaces):
+    """(size, pairs) for each hom space [n] -> [m] in turn, with the
+    down-after-up pairs of all the spaces so far, for the pair budget. A
+    diagram of Hom([n],[m]) through p <= min(n, m) middle vertices comes
+    from as many pairs as [p] has bijections, which bounds the pairs."""
     pairs = 0
     for n, m in spaces:
-        pairs += _hom_size(variant, n, m, T3_PAIR_BUDGET) * _middle_aut_order(variant, min(n, m))
-        if pairs > T3_PAIR_BUDGET:
-            raise DimensionBudgetExceeded(
-                f"{pairs} pairs up to size {max(n, m)} exceed the pair budget {T3_PAIR_BUDGET}"
-            )
+        pairs += _hom_size(variant, n, m, PAIR_BUDGET) * _middle_aut_order(variant, min(n, m))
+        yield max(n, m), pairs
 
 
 def _flagged(variant, x, y, flags):
@@ -299,7 +284,7 @@ def _t3_report(variant, n, m, flags):
     for p in range(min(n, m) + 1 if basis else 0):
         downs = [*_flagged(variant, n, p, flags)[1].values()]
         ups = [*_flagged(variant, p, m, flags)[0].values()]
-        for row in _products(variant, downs, ups, index):
+        for row in _products(downs, ups, index):
             for closed, _, k in row:
                 if closed:
                     loop_free = False
@@ -327,13 +312,13 @@ def verify_t3(variant, n, m):
 
     Every diagram must arise from exactly one orbit of (down, up) pairs
     under the middle bijection group acting freely, and the number of
-    orbits must equal the hom dimension. More than T3_PAIR_BUDGET pairs
+    orbits must equal the hom dimension. More than PAIR_BUDGET pairs
     are refused with DimensionBudgetExceeded before any basis is built.
     """
     if variant not in _AXIOM_VARIANTS:
         raise UnsupportedVariant.of("the (T3) count", variant, _AXIOM_VARIANTS)
     n, m = check_nonnegative("row size", n, m)
-    _check_pair_budget(variant, [(n, m)])
+    _check_pair_budget(_t3_pairs(variant, [(n, m)]))
     return _t3_report(variant, n, m, {})[0]
 
 
@@ -342,7 +327,7 @@ def check_triangular_axioms(variant, max_size):
 
     Every hom space is read from the shared `hom_basis`. The pairs of
     criterion (c) and (T3) are composed in bulk by `_products`, those of
-    (c) once per subcategory they lie in. More than T3_PAIR_BUDGET (T3)
+    (c) once per subcategory they lie in. More than PAIR_BUDGET (T3)
     pairs in all are refused before any basis is built.
     """
     if variant not in _AXIOM_VARIANTS:
@@ -351,7 +336,7 @@ def check_triangular_axioms(variant, max_size):
     sizes = range(max_size + 1)
     # the spaces of each size come after those of the smaller sizes
     growing = ((n, m) for s in sizes for n, m in product(range(s + 1), repeat=2) if s in (n, m))
-    _check_pair_budget(variant, growing)
+    _check_pair_budget(_t3_pairs(variant, growing))
     t1_pass = t2_pass = crit_c_pass = crit_d_pass = True
     hom_dims = {}
     t3_reports = {}
@@ -390,7 +375,7 @@ def check_triangular_axioms(variant, max_size):
         # the upwards pairs, then the downwards ones
         for i in range(2):
             fs, gs, held = (_flagged(variant, x, y, flags)[i] for x, y in ((n, m), (m, k), (n, k)))
-            for row in _products(variant, [*fs.values()], [*gs.values()], index):
+            for row in _products([*fs.values()], [*gs.values()], index):
                 if any(closed or j not in held for closed, _, j in row):
                     crit_c_pass = False
 

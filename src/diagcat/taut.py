@@ -17,7 +17,7 @@ from itertools import chain
 from math import gcd, lcm
 from numbers import Rational
 
-from .algebra import _hom_size, composition_table, hom_basis
+from .algebra import _check_pair_budget, _hom_size, composition_table, hom_basis
 from .diagrams import (
     BOTTOM,
     TOP,
@@ -37,10 +37,6 @@ from .errors import (
 from .linear import Morphism, morphism_compose
 
 ROW_BUDGET = 4096
-# Walled size 5 (123,483 pairs) was measured at 3.6 s at dim 2, while
-# temperley_lieb size 7 (464,174) did not finish in 300 s and brauer
-# size 5 (1,165,230) took 17.7 s at dim 1.
-PAIR_BUDGET = 200_000
 
 TAUT_VARIANTS = ("brauer", "walled", "partition", "temperley_lieb", "signed")
 
@@ -204,21 +200,16 @@ def _objects_up_to(variant, max_size):
     return list(range(max_size + 1))
 
 
-def _check_pair_budget(variant, max_size):
-    """Refuse a sweep of more than PAIR_BUDGET pairs before any hom space
-    is enumerated. The count grows with the size, so sizes are counted
-    upwards and the first one past the budget stops the count."""
+def _sweep_pairs(variant, max_size):
+    """(size, pairs) for each size up to max_size, with the composable
+    pairs of a sweep to that size, for the pair budget."""
     for size in range(max_size + 1):
         objects = _objects_up_to(variant, size)
         hom = {(x, y): _hom_size(variant, x, y) for x in objects for y in objects}
         # the pairs through y are (pairs into y) * (pairs out of y)
-        pairs = sum(
+        yield size, sum(
             sum(hom[x, y] for x in objects) * sum(hom[y, z] for z in objects) for y in objects
         )
-        if pairs > PAIR_BUDGET:
-            raise DimensionBudgetExceeded(
-                f"{pairs} pairs up to size {size} exceed the pair budget {PAIR_BUDGET}"
-            )
 
 
 def _pack(matrix, scale, width):
@@ -303,14 +294,14 @@ def verify_taut_functoriality(ctx, max_size):
     bytes differ is compared beta by beta, to list its failures.
 
     A sweep whose tensor powers exceed ROW_BUDGET rows, or whose pair
-    count exceeds PAIR_BUDGET, is refused with DimensionBudgetExceeded
-    before any hom space is enumerated, and a negative max_size with
-    ShapeMismatch.
+    count exceeds `algebra.PAIR_BUDGET`, is refused with
+    DimensionBudgetExceeded before any hom space is enumerated, and a
+    negative max_size with ShapeMismatch.
     """
     [max_size] = check_nonnegative("max_size", max_size)
     _check_budget(ctx.dim, max_size)
     variant = ctx.variant
-    _check_pair_budget(variant, max_size)
+    _check_pair_budget(_sweep_pairs(variant, max_size))
     objects = _objects_up_to(variant, max_size)
     matrices = {
         (x, y): [_matrix(ctx, d) for d in hom_basis(variant, x, y)]

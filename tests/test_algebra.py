@@ -222,6 +222,13 @@ class TestCompositionTable:
                 with pytest.raises(ShapeMismatch):
                     hom_basis(variant, *hom)
 
+    def test_signed_bases_list_the_brauer_labels(self):
+        # a signed table reads the brauer table of its triple entry by entry
+        for x, y in product(range(5), repeat=2):
+            signed, plain = hom_basis("signed", x, y), hom_basis("brauer", x, y)
+            assert [d.labels() for d in signed] == [d.labels() for d in plain]
+            assert not any(d.flips for d in signed)
+
     def test_transpose_maps(self):
         for variant, size in TABLES[0].items():
             if variant == "signed":
@@ -262,6 +269,7 @@ class TestCompositionTable:
             ("walled", (2, 1), (2, 1), (2, 1)),
             ("temperley_lieb", 4, 4, 2),
             ("temperley_lieb", 3, 3, 3),
+            ("signed", 4, 2, 2),
         ],
     )
     def test_mirrored_tables_agree_with_compose(self, variant, x, y, z):
@@ -286,7 +294,9 @@ class TestCompositionTable:
     )
     def test_products_of_sub_lists_agree_with_compose(self, variant, x, y, z):
         # the axiom checks compose the flagged downwards alphas and upwards
-        # betas of a hom space, not its whole basis, in bulk
+        # betas of a hom space, not its whole basis, in bulk; the bulk
+        # composer is sign-free, and a signed table reads its entries off
+        # the brauer products through the comparison functor
         alphas, betas, composites = (hom_basis(variant, *hom) for hom in ((x, y), (y, z), (x, z)))
         downs = [a for a in alphas if is_downwards(a)]
         ups = [b for b in betas if is_upwards(b)]
@@ -297,7 +307,11 @@ class TestCompositionTable:
             cases.append(tuple(rng.sample(hom, rng.randint(1, len(hom))) for hom in (alphas, betas)))
         signs = set()
         for some_alphas, some_betas in cases:
-            rows = _products(variant, some_alphas, some_betas, _basis_index(variant, x, z))
+            if variant == "signed":
+                table = composition_table(variant, x, y, z)
+                rows = [[table[betas.index(g)][alphas.index(f)] for f in some_alphas] for g in some_betas]
+            else:
+                rows = _products(some_alphas, some_betas, _basis_index(variant, x, z))
             assert [len(row) for row in rows] == [len(some_alphas)] * len(some_betas)
             for beta, row in zip(some_betas, rows):
                 for alpha, (closed, sign, k) in zip(some_alphas, row):

@@ -261,6 +261,37 @@ class TestWalledComposition:
                 assert res.result in enumerate_diagrams("walled", (1, 1), (1, 1))
 
 
+def epsilon_by_cycle_type(d, order):
+    """eps of a signed diagram by its definition: with the top row
+    written in reverse after the bottom one, the edges, taken in
+    `order`, go to the standard slots (1 -> 2), (3 -> 4), ..., and the
+    sign is that of the permutation, read off its cycle type."""
+    from diagcat.chars import cycle_type
+
+    n, m = d.n, d.m
+
+    def pos(v):
+        row, i = v
+        return i if row == 0 else n + m + 1 - i
+
+    arrows = {frozenset(a): a for a in d.arrows}
+    oriented = []
+    for a, bb in d.edges:
+        arrow = arrows.get(frozenset((a, bb)))
+        if arrow is not None:
+            oriented.append((pos(arrow[0]), pos(arrow[1])))
+        else:
+            x, y = pos(a), pos(bb)
+            oriented.append((x, y) if x < y else (y, x))
+    oriented = [oriented[i] for i in order]
+    perm = [0] * (n + m + 1)
+    for k, (a, bb) in enumerate(oriented):
+        perm[a] = 2 * k + 1
+        perm[bb] = 2 * k + 2
+    images = perm[1:]
+    return -1 if (len(images) - len(cycle_type(images))) % 2 else 1
+
+
 class TestEpsilonSign:
     def test_identity(self):
         assert epsilon_sign(identity_diagram("signed", 2)) == 1
@@ -304,33 +335,7 @@ class TestEpsilonSign:
         # assigned to standard slots; the sign must not
         import random
 
-        from diagcat.chars import cycle_type
-
         rng = random.Random(99)
-
-        def epsilon_with_order(d, order):
-            n, m = d.n, d.m
-
-            def pos(v):
-                row, i = v
-                return i if row == 0 else n + m + 1 - i
-
-            arrows = {frozenset(a): a for a in d.arrows}
-            oriented = []
-            for a, bb in d.edges:
-                arrow = arrows.get(frozenset((a, bb)))
-                if arrow is not None:
-                    oriented.append((pos(arrow[0]), pos(arrow[1])))
-                else:
-                    x, y = pos(a), pos(bb)
-                    oriented.append((x, y) if x < y else (y, x))
-            oriented = [oriented[i] for i in order]
-            perm = [0] * (n + m + 1)
-            for k, (a, bb) in enumerate(oriented):
-                perm[a] = 2 * k + 1
-                perm[bb] = 2 * k + 2
-            images = perm[1:]
-            return -1 if (len(images) - len(cycle_type(images))) % 2 else 1
 
         for n, m in [(2, 2), (0, 4), (3, 1), (4, 2)]:
             for d in enumerate_diagrams("signed", n, m):
@@ -339,7 +344,22 @@ class TestEpsilonSign:
                 for _ in range(5):
                     order = list(range(k))
                     rng.shuffle(order)
-                    assert epsilon_with_order(d, order) == base
+                    assert epsilon_by_cycle_type(d, order) == base
+
+    def test_crossing_parity_is_the_cycle_type_sign(self):
+        # every signed basis diagram on up to 10 vertices, and each with
+        # its first horizontal arrow flipped
+        for n in range(11):
+            for m in range(11 - n):
+                for d in enumerate_diagrams("signed", n, m):
+                    assert epsilon_sign(d) == epsilon_by_cycle_type(d, range(len(d.edges)))
+                    if not d.arrows:
+                        continue
+                    (tail, head), *rest = d.arrows
+                    vertical = [e for e in d.edges if e[0][0] != e[1][0]]
+                    flipped = make_diagram("signed", n, m, [(head, tail), *rest, *vertical])
+                    assert flipped.flips and flipped._labels == d._labels
+                    assert epsilon_sign(flipped) == epsilon_by_cycle_type(flipped, range(len(d.edges)))
 
     def test_flip_one_edge_flips_sign(self):
         for n, m in [(2, 0), (0, 2), (2, 2), (1, 3)]:

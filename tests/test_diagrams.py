@@ -217,6 +217,25 @@ def test_entries_are_judged_by_value(variant):
             SignedBrauerDiagram(2, 0, cup, [((0, 2.5), (0, 1))])
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_malformed_data_is_refused(variant):
+    # data that is not a list of edges, blocks or pairs, an entry that is
+    # not iterable and an edge that is not two vertices are each refused
+    # with the family's typed error, never a bare TypeError, ValueError
+    # or IndexError
+    exc = {"fisharp": NotInjective, "partition": NotAPartition, "degenerate": NotAPartition}
+    exc = exc.get(variant, NotAMatching)
+    rows = ((1, 1), (0, 0)) if variant == "walled" else (2, 0)
+    malformed = [5, None, [5], [None], [(b(1), b(2)), 5]]
+    if exc is NotAMatching:
+        malformed += [[(b(1),)], [(b(1), b(2), t(1))], [()]]
+    for data in malformed:
+        with pytest.raises(exc):
+            make_diagram(variant, *rows, data)
+        with pytest.raises(exc):
+            variant_class(variant)(*rows, data)
+
+
 def test_enumerated_values_hold_only_their_labels():
     # a value holds its rows and labels; the parts are derived on each
     # read, never kept, so a held hom basis is about its labels' size.

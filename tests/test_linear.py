@@ -25,7 +25,7 @@ from diagcat import (
     verify_t3,
 )
 from diagcat import linear
-from diagcat.algebra import hom_basis
+from diagcat.algebra import _check_pair_budget, hom_basis
 from diagcat.compose import compose
 from diagcat.errors import (
     DimensionBudgetExceeded,
@@ -319,10 +319,10 @@ class TestVerifyT3:
             enumerations[variant, x, y] += 1
             return enumerate_diagrams(variant, x, y)
 
-        def counting_products(variant, alphas, betas, index):
+        def counting_products(alphas, betas, index):
             nonlocal pairs
             pairs += len(alphas) * len(betas)
-            return real(variant, alphas, betas, index)
+            return real(alphas, betas, index)
 
         for info in pkgutil.iter_modules(diagcat.__path__):
             module = importlib.import_module(f"diagcat.{info.name}")
@@ -389,11 +389,11 @@ class TestPairBudget:
             ("brauer", 6, 4),
             ("temperley_lieb", 11, 11),
         ]:
-            linear._check_pair_budget(variant, [(n, m)])
+            _check_pair_budget(linear._t3_pairs(variant, [(n, m)]))
         # the bounds of the spaces add up
-        linear._check_pair_budget("partition", [(4, 4), (4, 4)])
+        _check_pair_budget(linear._t3_pairs("partition", [(4, 4), (4, 4)]))
         with pytest.raises(DimensionBudgetExceeded, match="^223560 pairs up to size 5 exceed"):
-            linear._check_pair_budget("partition", [(4, 4), (4, 4), (3, 5)])
+            _check_pair_budget(linear._t3_pairs("partition", [(4, 4), (4, 4), (3, 5)]))
 
 
 def _inject(monkeypatch, beta, alpha, closed, composite):
@@ -401,11 +401,11 @@ def _inject(monkeypatch, beta, alpha, closed, composite):
     checks compose pairs in bulk."""
     real = linear._products
 
-    def faulty(variant, alphas, betas, index):
-        k = hom_basis(variant, composite.bottom, composite.top).index(composite)
+    def faulty(alphas, betas, index):
+        k = hom_basis(composite.variant, composite.bottom, composite.top).index(composite)
         return tuple(
             tuple((closed, 1, k) if (g, f) == (beta, alpha) else e for f, e in zip(alphas, row))
-            for g, row in zip(betas, real(variant, alphas, betas, index))
+            for g, row in zip(betas, real(alphas, betas, index))
         )
 
     monkeypatch.setattr(linear, "_products", faulty)

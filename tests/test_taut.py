@@ -10,16 +10,16 @@ import pytest
 
 import diagcat
 from diagcat import enumerate_diagrams, identity_diagram, make_diagram, transpose
-from diagcat.algebra import build_algebra, composition_table, hom_basis
+from diagcat.algebra import _check_pair_budget, build_algebra, composition_table, hom_basis
 from diagcat.errors import DimensionBudgetExceeded, InvalidParameter, VariantMismatch
 from diagcat.taut import (
     TAUT_VARIANTS,
     RationalMatrix,
     TautContext,
-    _check_pair_budget,
     _hom_size,
     _matrix,
     _objects_up_to,
+    _sweep_pairs,
     check_p2_p0_surjectivity,
     taut_matrix,
     verify_taut_functoriality,
@@ -146,9 +146,9 @@ class TestBrauerMatrices:
         for variant, size in [
             ("brauer", 4), ("signed", 4), ("partition", 3), ("walled", 5), ("temperley_lieb", 6)
         ]:
-            _check_pair_budget(variant, size)
+            _check_pair_budget(_sweep_pairs(variant, size))
             with pytest.raises(DimensionBudgetExceeded):
-                _check_pair_budget(variant, size + 1)
+                _check_pair_budget(_sweep_pairs(variant, size + 1))
 
     def test_huge_size_is_refused_at_once(self):
         # the verdict and message of 10^3000000 > 4096, without the power;
