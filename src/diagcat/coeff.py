@@ -325,30 +325,15 @@ def _sign_changes(seq, x):
     return changes
 
 
-def _simplest_between(lo, hi):
-    """The rational of least denominator in the closed interval [lo, hi]."""
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -_simplest_between(-hi, -lo)
-    fl = lo.numerator // lo.denominator
-    if fl == lo:
-        return lo
-    if fl + 1 <= hi:
-        return Fraction(fl + 1)
-    return fl + 1 / _simplest_between(1 / (hi - fl), 1 / (lo - fl))
-
-
 def _root_intervals(f):
     """Disjoint intervals (lo, hi], each holding exactly one real root of
-    the square-free integer polynomial f and narrower than
-    1 / (2 lead(f)**2), so that each holds at most one rational whose
-    denominator divides lead(f)."""
+    the square-free integer polynomial f and narrower than 1 / lead(f),
+    so that each holds at most one multiple of 1 / lead(f)."""
     seq = _sturm_sequence(f)
     # Cauchy: every root lies below 1 + max|a_i| / |lead| < 2**(e + 1)
     e = max(max(abs(c).bit_length() for c in f[:-1]) - abs(f[-1]).bit_length() + 1, 0)
     lo, hi = Fraction(-(2 ** (e + 1))), Fraction(2 ** (e + 1))
-    width = Fraction(1, 2 * f[-1] ** 2)
+    width = Fraction(1, f[-1])
     stack = [(lo, _sign_changes(seq, lo), hi, _sign_changes(seq, hi))]
     out = []
     while stack:
@@ -373,11 +358,12 @@ def rational_roots(poly):
     int numerators of the rest are made primitive and reduced to their
     square-free part f / gcd(f, f'). Sturm sequences isolate the real
     roots of that part inside a power-of-two Cauchy bound, and bisection
-    narrows each to an interval below 1 / (2 a**2), a the leading
-    coefficient: a rational root there has a denominator dividing a, so
-    it is the simplest rational of its interval. Each such candidate is
-    confirmed by evaluating the original polynomial. No coefficient is
-    factored.
+    narrows each to a half-open interval (lo, hi] narrower than 1 / a, a
+    the leading coefficient. A rational root has a denominator dividing
+    a, so it is a multiple of 1 / a, and the interval holds at most one:
+    floor(hi * a) / a, a candidate only when it lies above lo. Each
+    candidate is confirmed by evaluating the original polynomial. No
+    coefficient is factored.
     """
     if poly.is_zero():
         raise ValueError("the zero polynomial has every root")
@@ -390,9 +376,10 @@ def rational_roots(poly):
         f = _primitive(list(num[k:]))
         # primitive, with a positive leading coefficient, by Gauss's lemma
         f = int_exact_div(f, _gcd(f, _derivative(f)))
+        a = f[-1]
         for lo, hi in _root_intervals(f):
-            cand = _simplest_between(lo, hi)
+            cand = Fraction(hi.numerator * a // hi.denominator, a)
             # f(0) != 0, so a candidate 0 is never a root of f
-            if cand and poly.evaluate(cand) == 0:
+            if cand > lo and cand and poly.evaluate(cand) == 0:
                 roots.append(cand)
     return sorted(roots)

@@ -18,15 +18,7 @@ from math import gcd, lcm
 from numbers import Rational
 
 from .algebra import _check_pair_budget, _hom_size, composition_table, hom_basis
-from .diagrams import (
-    BOTTOM,
-    TOP,
-    SignedBrauerDiagram,
-    check_nonnegative,
-    enumerate_diagrams,
-    is_downwards,
-    variant_class,
-)
+from .diagrams import check_nonnegative, enumerate_diagrams, is_downwards, variant_class
 from .errors import (
     DimensionBudgetExceeded,
     InvalidParameter,
@@ -148,39 +140,38 @@ def _form_entries(p):
     return entries
 
 
-def _parts(d):
-    """The parts of d, each a tuple of vertices; a signed diagram's
-    horizontal edges are read tail first."""
-    if isinstance(d, SignedBrauerDiagram):
-        return [e for e in d.parts if e[0][0] != e[1][0]] + list(d.arrows)
-    return d.parts
-
-
 def _matrix(ctx, d):
     """Entry (J, I) is the product over the parts of d of the weight its
     form gives the labels that I (bottom) and J (top) put on it.
 
-    Each part's nonzero labellings are listed as (source offset, target
-    offset, weight); the parts touch disjoint tensor factors, so their
-    product lists every nonzero entry exactly once."""
+    The parts are read off `d.labels()`, each as its positions in
+    order: position k < n is b_{k+1}, with place value dim^(n-1-k) in
+    I, and position k >= n is t_{k-n+1}, with place value
+    dim^(n+m-1-k) in J. Each part's nonzero labellings are listed as
+    (source offset, target offset, weight), a two-vertex form reading
+    its labels in position order; the parts touch disjoint tensor
+    factors, so their product lists every nonzero entry exactly once.
+    An oriented edge's reference tail is the earlier position on the
+    bottom row and the later one on the top row, and a flip reverses
+    it; its form is antisymmetric, so the whole oriented matrix takes
+    the one sign (-1)^(top horizontal edges + flips)."""
     p, n, m = ctx.dim, d.n, d.m
-    place = {(BOTTOM, i): (p ** (n - i), 0) for i in range(1, n + 1)}
-    place.update({(TOP, j): (0, p ** (m - j)) for j in range(1, m + 1)})
-    terms = [(0, 0, 1)]
-    for part in _parts(d):
-        rows = {v[0] for v in part}
-        if len(rows) == 2 or ctx.cap is None:
-            form = {(x,) * len(part): 1 for x in range(p)}
+    place = [(p ** (n - 1 - k), 0) if k < n else (0, p ** (n + m - 1 - k)) for k in range(n + m)]
+    parts = {}
+    for k, label in enumerate(d.labels()):
+        parts.setdefault(label, []).append(k)
+    sign = 1
+    if ctx.variant == "signed":
+        sign = (-1) ** (sum(ks[0] >= n for ks in parts.values()) + len(d.flips))
+    terms = [(0, 0, sign)]
+    for ks in parts.values():
+        if ctx.cap is None or ks[0] < n <= ks[-1]:
+            s, t = map(sum, zip(*[place[k] for k in ks]))
+            choices = [(s * x, t * x, 1) for x in range(p)]
         else:
-            form = ctx.cap if BOTTOM in rows else ctx.cup
-        choices = []
-        for labels, w in form.items():
-            s = t = 0
-            for v, x in zip(part, labels):
-                a, b = place[v]
-                s += a * x
-                t += b * x
-            choices.append((s, t, w))
+            (s, t), (s2, t2) = place[ks[0]], place[ks[1]]
+            form = ctx.cap if ks[0] < n else ctx.cup
+            choices = [(s * x + s2 * y, t * x + t2 * y, w) for (x, y), w in form.items()]
         terms = [
             (s + s2, t + t2, w * w2) for s, t, w in terms for s2, t2, w2 in choices
         ]

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 from diagcat import taut
 from diagcat.algebra import composition_table, hom_basis
@@ -13,7 +13,7 @@ from diagcat.chars import (
     standard_tableaux,
     sym_character,
 )
-from diagcat.diagrams import TOP
+from diagcat.diagrams import BOTTOM, TOP
 from diagcat.taut import RationalMatrix
 
 
@@ -357,6 +357,52 @@ def transposed(matrix):
         for i, v in col.items():
             out[i][j] = v
     return RationalMatrix(matrix.cols, matrix.rows, out)
+
+
+def taut_matrix_by_definition(ctx, d):
+    """The entries of `taut_matrix(ctx, d)` as dense rows, one labelling
+    at a time from the definition, without `diagcat.taut._matrix`.
+
+    Entry (J, I) is the product over the parts of d, read from the
+    `parts` view, of the weight its form gives the labels that I
+    (bottom) and J (top) put on its vertices, first tensor factor most
+    significant. A part on both rows, and every part of brauer, walled
+    and partition, weighs 1 when its labels agree and 0 otherwise. A
+    horizontal edge of temperley_lieb, read in vertex order, weighs
+    cap(0, 1) = -1/q, cap(1, 0) = 1 on the bottom row and cup(0, 1) = 1,
+    cup(1, 0) = -q on the top row. A horizontal edge of signed is read
+    from the `arrows` view, tail first, and weighs w(x, x + h) = 1,
+    w(x + h, x) = -1 for h = dim / 2."""
+    p, h, q = ctx.dim, ctx.dim // 2, ctx.q
+    forms = None
+    if ctx.variant == "temperley_lieb":
+        forms = {BOTTOM: {(0, 1): -1 / q, (1, 0): 1}, TOP: {(0, 1): 1, (1, 0): -q}}
+    elif ctx.variant == "signed":
+        w = {(x, x + h): 1 for x in range(h)} | {(x + h, x): -1 for x in range(h)}
+        forms = {BOTTOM: w, TOP: w}
+    arrows = {frozenset(a): a for a in getattr(d, "arrows", ())}
+    rows = [[0] * p**d.n for _ in range(p**d.m)]
+    for source in product(range(p), repeat=d.n):
+        for target in product(range(p), repeat=d.m):
+            label = {(BOTTOM, i): x for i, x in enumerate(source, 1)}
+            label |= {(TOP, j): y for j, y in enumerate(target, 1)}
+            value = 1
+            for part in d.parts:
+                part = arrows.get(frozenset(part), part)
+                labels = tuple(label[v] for v in part)
+                if forms is None or part[0][0] != part[-1][0]:
+                    value *= len(set(labels)) == 1
+                else:
+                    value *= forms[part[0][0]].get(labels, 0)
+            rows[_tensor_index(target, p)][_tensor_index(source, p)] = value
+    return rows
+
+
+def _tensor_index(labels, p):
+    index = 0
+    for x in labels:
+        index = index * p + x
+    return index
 
 
 # -- column-sparse products: the oracle for the packed taut sweep

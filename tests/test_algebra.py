@@ -337,7 +337,7 @@ class TestCompositionTable:
                     alphas, betas = hom_basis(variant, x, y), hom_basis(variant, y, z)
                     pairs[variant] += len(alphas) * len(betas)
                     composition_table(variant, x, y, z)
-                    if variant != "signed" and x > z:
+                    if x > z:
                         continue  # read off the table of (z, y, x)
                     middles = {beta.labels()[: beta.n] for beta in betas}
                     bound[variant] += len(middles) * len(alphas)
@@ -345,7 +345,11 @@ class TestCompositionTable:
             composition_table.cache_clear()
         for variant in TABLES[0]:
             assert merged[variant] <= bound[variant], (variant, merged[variant], bound[variant])
-        assert merged["signed"] < pairs["signed"]
+        # TABLES[0] lists brauer to size 4 before signed to size 3, so the
+        # brauer table of every signed triple is cached when it is read
+        assert list(TABLES[0]).index("brauer") < list(TABLES[0]).index("signed")
+        assert TABLES[0]["brauer"] >= TABLES[0]["signed"]
+        assert merged["signed"] == 0
         for variant, share in [("brauer", 0.52), ("partition", 0.52), ("walled", 0.65), ("temperley_lieb", 0.65)]:
             assert merged[variant] <= share * pairs[variant], (variant, merged[variant] / pairs[variant])
 

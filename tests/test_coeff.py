@@ -104,10 +104,14 @@ def test_rational_roots():
         Fraction(-8), Fraction(-1, 2), Fraction(1, 4), Fraction(1), Fraction(2), Fraction(4)
     ]
     # d (d^2 + 10d - 1) and d (d^2 - 10d - 1): an irrational root within
-    # 1/10 of 0 is isolated next to the bisection point 0, whose simplest
-    # rational is 0 again; the root 0 is still reported once
+    # 1/10 of 0 is isolated next to the bisection point 0; the root 0 is
+    # still reported once
     assert rational_roots(DeltaPoly([0, -1, 10, 1])) == [Fraction(0)]
     assert rational_roots(DeltaPoly([0, -1, -10, 1])) == [Fraction(0)]
+    # (d - 1)(d^2 - 1002d + 1002): bisection splits at the root 1, and the
+    # irrational root 1.001000001... just above it lies in (1, hi], an
+    # interval that holds no multiple of 1 / lead; 1 is reported once
+    assert rational_roots(DeltaPoly([-1002, 2004, -1003, 1])) == [Fraction(1)]
     with pytest.raises(ValueError):
         rational_roots(DeltaPoly.zero())
 

@@ -3,7 +3,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -24,7 +24,15 @@ from diagcat.taut import (
     taut_matrix,
     verify_taut_functoriality,
 )
-from helpers import matmul, matrices_equal, scaled, taut_sweep_oracle, transposed
+from helpers import (
+    matmul,
+    matrices_equal,
+    scaled,
+    taut_matrix_by_definition,
+    taut_sweep_oracle,
+    transposed,
+)
+from test_golden import _objects, _orientations
 
 
 def b(i):
@@ -230,6 +238,38 @@ class TestTemperleyLieb:
             prod = matmul(taut_matrix(ctx, cap), taut_matrix(ctx, cup))
             assert prod.entries == [[-q - 1 / q]]
             assert ctx.parameter == -q - 1 / q
+
+
+class TestMatricesByDefinition:
+    """Every entry of `taut_matrix` against the definition, labelling by
+    labelling, on whole hom bases."""
+
+    @pytest.mark.parametrize(
+        "variant, parameters",
+        [("brauer", {"dim": p}) for p in range(4)]
+        + [("partition", {"dim": p}) for p in (1, 2)]
+        + [("walled", {"dim": 2})]
+        + [("temperley_lieb", {"q": q}) for q in (Fraction(2, 3), Fraction(-5, 7))],
+        ids=str,
+    )
+    def test_basis_diagrams(self, variant, parameters):
+        ctx = TautContext(variant, **parameters)
+        for x, y in product(_objects(variant, 3), repeat=2):
+            for d in hom_basis(variant, x, y):
+                assert taut_matrix(ctx, d).entries == taut_matrix_by_definition(ctx, d), d.to_text()
+
+    @pytest.mark.parametrize("dim, size", [(2, 6), (4, 4)])
+    def test_every_orientation(self, dim, size):
+        # every orientation of every basis diagram with n + m <= size, the
+        # flipped ones included
+        ctx = TautContext("signed", dim=dim)
+        flipped = 0
+        for n in range(size + 1):
+            for d in (d for m in range(size + 1 - n) for d in hom_basis("signed", n, m)):
+                for o in _orientations(d):
+                    flipped += bool(o.flips)
+                    assert taut_matrix(ctx, o).entries == taut_matrix_by_definition(ctx, o), o.to_text()
+        assert flipped
 
 
 class TestContextParameters:
